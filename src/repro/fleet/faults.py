@@ -11,15 +11,14 @@ as a first-class, *seed-deterministic* input to the fleet DES:
   expands a schedule into atomic, time-sorted events for a concrete
   fleet, so identical ``(schedule, fleet, seed)`` triples always
   replay identically.
-- :func:`run_fault_loop` -- the fault-aware twin of the engine's hot
-  event loop.  Crashed replicas leave the routable set, their in-flight
-  queries are re-enqueued at the router (up to a retry budget) or
-  failed; stragglers have their stage service times scaled; hedged
-  dispatch races a duplicate attempt on a second replica after a
-  configurable delay.  The fault-free engine loop is untouched -- with
-  no faults scheduled the two loops execute the same float operations
-  in the same order, which ``tests/test_perf_equivalence.py`` enforces
-  with exact equality.
+- :func:`run_fault_loop` -- the python core's event loop, for every
+  run with or without faults.  Crashed replicas leave the routable set,
+  their in-flight queries are re-enqueued at the router (up to a retry
+  budget) or failed; stragglers have their stage service times scaled;
+  hedged dispatch races a duplicate attempt on a second replica after a
+  configurable delay.  With no faults scheduled every variant executes
+  the same float operations in the same order, which
+  ``tests/test_perf_equivalence.py`` enforces with exact equality.
 
 Fault semantics (all deterministic):
 
@@ -28,7 +27,7 @@ Fault semantics (all deterministic):
   last outstanding attempt is retried at the router (if the per-query
   retry budget allows and a routable replica exists) or failed.
   Arrivals at exactly the crash timestamp still route to the dying
-  replica (arrivals win ties, as in the fault-free loop).
+  replica (arrivals win ties, as everywhere in the engine).
 - ``recover``: a replica that was serving when it crashed rejoins the
   routable set with empty queues; standby/draining replicas come back
   cold, available to the autoscaler again.
@@ -345,8 +344,8 @@ class FaultSchedule:
     ``domains`` declaration); stochastic behaviour is configured with
     :meth:`stochastic` and drawn deterministically from the run seed at
     :meth:`materialize` time.  An empty schedule is the explicit "no
-    faults" statement -- the engine keeps its exact fault-free
-    semantics (enforced by the differential tests).  A schedule that
+    faults" statement -- the replay equals a ``faults=None`` run
+    exactly (enforced by the differential tests).  A schedule that
     declares ``domains`` but no events injects nothing either; the
     declaration still steers domain-aware hedging.
     """
@@ -947,7 +946,7 @@ def iter_boundaries(fault_events, window_s: float, last_t: float):
 
     ``window_s <= 0`` disables the tick grid (no autoscaler).  This is
     the segment skeleton of the vectorized fault path
-    (:func:`repro.sim.fast_core.run_vectorized_faults`): everything
+    (:func:`repro.sim.fast_core.run_vectorized`): everything
     between two yielded items is fault-free and tick-free, so whole
     arrival spans can be routed and delivered in batches.
     """
@@ -981,22 +980,24 @@ def run_fault_loop(
     window_arrivals: dict,
     window_drops: dict,
     scale_events: list,
+    horizon_s: float | None = None,
 ) -> dict:
-    """Fault-aware twin of ``FleetSimulator._run_loop``.
+    """The python core's event loop, for faulted and fault-free runs.
 
-    Runs the same lazily-pulled arrival-merge event loop with
-    crash/recover/slow handling, retries, and hedging layered on.
-    With an empty schedule it performs the identical float operations
-    in the identical order (same heap sequence numbers, same routing
-    draws), which the differential tests verify with ``==`` on floats.
+    A lazily-pulled arrival-merge event loop with crash/recover/slow
+    handling, retries, and hedging layered on.  With no fault events
+    both variants below perform the same float operations in the same
+    order (same heap sequence numbers, same routing draws), which the
+    differential tests verify with ``==`` on floats.
 
     Two variants share this entry point:
 
     - With ``retries == 0``, hedging off, and no tracing observer, the
-      *light* loop runs: per query it is the fault-free hot loop verbatim
-      (no per-query
-      records -- crash victims simply fail), so an empty or sparse
-      schedule costs almost nothing.  ``last_query_log`` stays empty.
+      *light* loop runs -- every fault-free run takes it.  It keeps no
+      per-query records (crash victims simply fail), so an empty or
+      sparse schedule costs almost nothing.  ``last_query_log`` stays
+      empty.  Only this loop honours a forced ``horizon_s`` (the
+      engine refuses one when fault machinery is configured).
     - Otherwise the *tracked* loop runs: every query gets a
       :class:`TrackedQuery` with per-attempt history, enabling retries,
       hedging, and the full query log.
@@ -1012,7 +1013,7 @@ def run_fault_loop(
         return _run_light_loop(
             sim, arrivals, first, streams, heap, warmup_s, end_hint,
             scaling, completions, dropped, window_lat, window_arrivals,
-            window_drops, scale_events,
+            window_drops, scale_events, horizon_s,
         )
     # One pre-bound bool guards every metrics hook; trace-only probes
     # keep it False (spans are built post-run from the query log).
@@ -1071,7 +1072,7 @@ def run_fault_loop(
             heap.push(now + hedge_s, _HEDGE, 0, tracked)
 
     def complete(server, tracked: TrackedQuery, attempt: list, now: float) -> None:
-        """Retire one finished attempt (same bookkeeping as the fast loop)."""
+        """Retire one finished attempt (same bookkeeping as the light loop)."""
         attempt[2] = now
         attempt[3] = 1
         query = tracked.query
@@ -1236,7 +1237,7 @@ def run_fault_loop(
             continue
         now = entry[0]
         owner = entry[2]
-        if owner is None:  # autoscaler tick (shared with the fast loop)
+        if owner is None:  # autoscaler tick (shared with the light loop)
             if now >= horizon:
                 continue  # stream drained past the last arrival
             ticks += 1
@@ -1312,29 +1313,40 @@ def _run_light_loop(
     window_arrivals: dict,
     window_drops: dict,
     scale_events: list,
+    horizon_s: float | None = None,
 ) -> dict:
-    """The no-retries/no-hedging fault loop.
+    """The no-retries/no-hedging loop: the python core's hot path.
 
-    Per query this is the fault-free hot loop verbatim -- identical
-    payload shapes, allocations, and float operations, the same lazy
-    arrival pull -- with fault events handled between queries.
-    In-flight queries on a crashed replica are *failed* (there is no
-    retry budget to spend), so no per-query record is ever allocated
-    and a present-but-idle fault layer costs only the sentinel checks
-    at event pops.
+    Fault events are handled between queries.  In-flight queries on a
+    crashed replica are *failed* (there is no retry budget to spend),
+    so no per-query record is ever allocated -- a direct-path
+    completion event carries the ``(model, query)`` pair itself -- and
+    a present-but-idle fault layer costs only the sentinel checks at
+    event pops.
+
+    The measurement horizon is the last arrival's timestamp, discovered
+    at stream exhaustion -- until then it is ``inf``, which is
+    equivalent because any event popped while arrivals remain is
+    strictly earlier than the last arrival.  A forced ``horizon_s``
+    (the sharded runner's fleet-wide horizon; fault-free runs only)
+    replaces that discovery: every pre-exhaustion event is earlier
+    than the stream's last arrival <= ``horizon_s``, while autoscaler
+    ticks keep firing up to the forced horizon exactly as they would
+    in the fleet-wide run.
     """
     events = heap.items
     dead = heap.dead
     finished: list = []
     servers = sim.servers
     routable = sim._routable
-    horizon = float("inf")
+    horizon = float("inf") if horizon_s is None else horizon_s
     count = 0
     ticks = 0
     window_s = sim.autoscaler.window_s if scaling else 0.0
-    # Same single-bool hook guard as the fault-free loop; a tracing
-    # observer never reaches here (run_fault_loop forces the tracked
-    # twin), so only metrics hooks exist.
+    # One pre-bound bool guards every hook site, so an unobserved run
+    # adds no float operations; a tracing observer never reaches here
+    # (run_fault_loop forces the tracked loop), so only metrics hooks
+    # exist.
     probe = sim.observer
     probe_on = probe is not None and probe.metrics
 
@@ -1378,7 +1390,7 @@ def _run_light_loop(
             if probe_on:
                 probe.on_failure(model, now)
 
-    # -- the loop (the fault-free hot loop plus sentinel branches) -----
+    # -- the loop ------------------------------------------------------
     nxt = first
     nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
     while True:
@@ -1388,8 +1400,14 @@ def _run_light_loop(
                 model, query = nxt
                 nxt = next(arrivals, None)
                 if nxt is None:
-                    horizon = now
-                    sim._seal_sketches(now)
+                    if horizon_s is None:
+                        horizon = now
+                    elif now > horizon_s:
+                        raise ValueError(
+                            f"horizon_s={horizon_s!r} precedes the "
+                            f"stream's last arrival (t={now!r})"
+                        )
+                    sim._seal_sketches(horizon)
                 else:
                     t = nxt[1][1]
                     if t < now:
@@ -1444,7 +1462,7 @@ def _run_light_loop(
             continue
         now = entry[0]
         server = entry[2]
-        if server is None:  # autoscaler tick (shared with the fast loop)
+        if server is None:  # autoscaler tick
             if now >= horizon:
                 continue  # stream drained past the last arrival
             ticks += 1
@@ -1458,7 +1476,7 @@ def _run_light_loop(
             fstate.apply(entry[4], now, horizon, kill_in_flight)
             continue
         idx = entry[3]
-        if idx < 0:  # direct-path completion (identical to the fast loop)
+        if idx < 0:  # direct-path completion, bookkept inline
             model, query = entry[4]
             arrival = query.arrival_s
             server.completed += 1

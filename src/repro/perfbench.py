@@ -21,10 +21,11 @@ repo's four hot paths:
   streamed arrival process instead of the materialized list, reporting
   the wall-time ratio against the list path (CI bounds it at < 1.1)
   and asserting both agree exactly;
-- ``fleet_replay_faultpath`` -- the same replay through the
-  fault-aware loop with an empty schedule, reporting its wall-time
-  ratio against the fault-free loop (CI bounds it at < 1.2x) and
-  asserting the two agree exactly.
+- ``fleet_replay_faultpath`` -- the same replay with an idle, empty
+  ``FaultSchedule()`` against ``faults=None``; both run the python
+  core's one light loop, so the wall-time ratio (CI bounds it at
+  < 1.2x) measures what materializing and carrying an idle schedule
+  costs, and the two must agree exactly.
 - ``fleet_replay_carbonpath`` -- the same replay with a carbon trace
   attached (activation-window recording plus post-run gCO2 pricing)
   vs carbon-off, reporting the ratio CI bounds at < 1.1x and
@@ -572,19 +573,22 @@ def _scenario_fleet_replay_queueaware(ctx: _Context) -> dict[str, Any]:
 
 
 def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
-    """Fault machinery engaged but idle vs the tuned fault-free loop.
+    """An idle fault schedule vs none, and the tracked loop's cost.
 
-    Replays the identical fleet/trace three ways: the fault-free hot
-    loop; the light fault loop (empty schedule, no retries/hedging --
-    what a production replay pays for having the fault layer present
-    but disabled); and the tracked fault loop (empty schedule plus a
-    retry budget, which buys per-query attempt records).
+    Replays the identical fleet/trace three ways: ``faults=None``; an
+    empty ``FaultSchedule()`` (no retries/hedging -- what a production
+    replay pays for having the fault layer present but idle); and the
+    tracked fault loop (empty schedule plus a retry budget, which buys
+    per-query attempt records).  The first two run the same python
+    light loop -- it is the only fault-free python loop -- so their
+    ratio prices the idle schedule itself (materialization and the
+    fault bookkeeping the loop carries), not a second loop.
 
-    ``ratio_vs_fault_off`` (light/off) is the number CI's perf-smoke
-    job bounds at < 1.2; ``ratio_tracked_vs_fault_off`` is recorded for
-    trend inspection only (per-query records are documented overhead).
-    All three runs must agree exactly on completions -- a built-in
-    differential smoke check.
+    ``ratio_vs_fault_off`` (idle schedule / none) is the number CI's
+    perf-smoke job bounds at < 1.2; ``ratio_tracked_vs_fault_off`` is
+    recorded for trend inspection only (per-query records are
+    documented overhead).  All three runs must agree exactly on
+    completions -- a built-in differential smoke check.
 
     A fourth and fifth leg replay a *scripted* schedule (two recovering
     crashes, a slowdown episode, a permanent crash) under round-robin
@@ -629,7 +633,7 @@ def _scenario_fleet_replay_faultpath(ctx: _Context) -> dict[str, Any]:
         if result.per_model != result_off.per_model:
             raise AssertionError(
                 f"{label} fault loop with empty schedule diverged from the "
-                "fault-free loop"
+                "faults=None replay"
             )
 
     # Scripted-schedule legs: the vectorized fault path partitions the

@@ -9,12 +9,6 @@ processes produce instead of pre-materialized query lists, so replays
 run in O(segment) memory and the legacy piecewise-Poisson path stays
 bit-identical (``repro.sim.loadgen`` is now a thin adapter over this
 package).
-
-:class:`~repro.carbon.CarbonTrace` -- the grid carbon-intensity series
-that prices the fleet's energy (see :mod:`repro.carbon`) -- is
-re-exported here as the recorded-trace sibling of
-:class:`RecordedTrace`; it follows the same file conventions
-(CSV/JSONL, repr-exact round trips, ``path:line:`` parse errors).
 """
 
 from repro.traces.arrivals import (
@@ -28,7 +22,6 @@ from repro.traces.arrivals import (
     SuperposedProcess,
     poisson_segment,
 )
-from repro.carbon.trace import CarbonTrace, read_carbon_trace, save_carbon_trace
 from repro.traces.recorded import RecordedTrace, read_trace, save_trace
 from repro.traces.spec import ArrivalSpec, parse_arrivals
 
@@ -45,9 +38,6 @@ __all__ = [
     "RecordedTrace",
     "read_trace",
     "save_trace",
-    "CarbonTrace",
-    "read_carbon_trace",
-    "save_carbon_trace",
     "ArrivalSpec",
     "parse_arrivals",
 ]

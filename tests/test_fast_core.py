@@ -152,7 +152,8 @@ def test_vector_bit_identical_with_autoscaler(
     """Segmented delivery reproduces every autoscaler decision exactly:
     the vector core replays arrivals window by window, hands the scaler
     the same outstanding counts and window sketches at every tick, and
-    honours drain settles identically."""
+    honours drain settles identically.  Both cores report the same
+    number of fired ticks afterwards."""
     from repro.fleet import PredictiveAutoscaler, ReactiveAutoscaler
 
     allocation = Allocation()
@@ -177,11 +178,12 @@ def test_vector_bit_identical_with_autoscaler(
         return _replay(
             small_table, two_model_inputs, allocation, trace, core,
             standby=standby, autoscaler=scaler(),
-        )[1]
+        )
 
-    base, vec = run("python"), run("vector")
+    (sim_py, base), (sim_vec, vec) = run("python"), run("vector")
     _assert_identical(vec, base)
     assert base.scale_events  # the scaler actually acted
+    assert sim_vec.last_tick_count == sim_py.last_tick_count > 0
 
 
 @pytest.mark.parametrize("shape", ["mmpp", "diurnal", "recorded"])
