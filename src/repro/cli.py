@@ -417,9 +417,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             )
         if carbon is not None:
             raise SystemExit(
-                "--shards > 1 cannot account carbon (activation windows "
-                "live in the single-process loop); drop --carbon or run "
-                "--shards 1"
+                "--shards > 1 cannot account carbon (the shard merge "
+                "does not carry activation windows); drop --carbon or "
+                "run --shards 1"
+            )
+        if args.core == "vector-epoch":
+            raise SystemExit(
+                "--shards > 1 cannot use --core vector-epoch (its "
+                "micro-epochs span models, so per-model shards route "
+                "differently); use --core auto, vector or python"
             )
         from repro.fleet.sharded import run_fleet_sharded
 
@@ -437,11 +443,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             percentile_mode=args.percentile_mode,
             warmup_s=span * 0.05,
             standby=standby,
-            core=(
-                "python"
-                if args.core in ("vector", "vector-epoch")
-                else args.core
-            ),
+            core=args.core,
         )
     else:
         servers = build_fleet(

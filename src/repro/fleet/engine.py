@@ -39,6 +39,7 @@ stay interactive):
 
 from __future__ import annotations
 
+import gc
 import logging
 from heapq import heappush
 from typing import Sequence
@@ -339,8 +340,10 @@ class FleetSimulator:
             (the default) keeps the engine exactly as before -- no
             window recording, no carbon field, pinned bit-identical by
             ``tests/test_perf_equivalence.py``.  A trace prices the
-            run's measured energy in gCO2 (``result.carbon``) and
-            requires the per-event python core.
+            run's measured energy in gCO2 (``result.carbon``) after
+            whichever core replayed it: every core settles replicas at
+            the same boundaries, so the activation windows it prices
+            are the same.
         deferrable: Optional :class:`~repro.carbon.DeferrableJob`
             batch executed on the run's timeline next to the real-time
             traffic (requires ``carbon``); see ``docs/carbon.md``.
@@ -352,10 +355,6 @@ class FleetSimulator:
         deferral_horizon_s: Cap on completion slip past each job's
             no-wait finish time (``None`` = the job deadline alone).
     """
-
-    #: Sharded workers set this so the auto-core fallback is logged
-    #: once by the parent process instead of once per shard.
-    _quiet_core_fallback = False
 
     def __init__(
         self,
@@ -596,11 +595,6 @@ class FleetSimulator:
             reasons.append(
                 "a live observer requires per-event completion hooks"
             )
-        if self.carbon is not None:
-            reasons.append(
-                "carbon accounting records per-replica activation "
-                "windows, which only the per-event core maintains"
-            )
         if self.percentile_mode != "exact":
             reasons.append(
                 "sketch-mode reports fold completions one event at a "
@@ -638,6 +632,11 @@ class FleetSimulator:
     ) -> FleetResult:
         """Play a multi-model arrival source through the fleet.
 
+        The chosen core replays the arrivals; everything after that --
+        settling replicas at the horizon, the run counters, the summary,
+        carbon pricing, deferrable jobs, and the observer's ``finish``
+        -- happens here, once, whichever core ran.
+
         Args:
             trace: ``(model_name, query)`` pairs -- either a
                 materialized list/tuple (any order; sorted here, the
@@ -662,8 +661,10 @@ class FleetSimulator:
                 the *fleet-wide* last arrival here so every shard
                 measures the identical window (qps denominators, tick
                 counts, and active-time accounting all match the
-                single-process run bit-for-bit).  Must be >= the
-                stream's own last arrival; fault-free runs only.
+                single-process run bit-for-bit).  Autoscaler ticks fire
+                up to it; it must be >= the stream's own last arrival,
+                and an empty stream is then a valid idle run.
+                Fault-free runs only; every core honours it.
         """
         if horizon_s is not None:
             if self._fault_mode:
@@ -673,14 +674,10 @@ class FleetSimulator:
                 )
             if horizon_s <= warmup_s:
                 raise ValueError("horizon_s must exceed warmup_s")
+        replay = _run_python
         if self.core != "python":
             epoch = self.core == "vector-epoch"
             reasons = self._vector_fallback_reasons(epoch=epoch)
-            if horizon_s is not None:
-                reasons.append(
-                    "a forced measurement horizon requires the "
-                    "per-event core"
-                )
             if not reasons:
                 try:
                     from repro.sim import fast_core
@@ -689,129 +686,39 @@ class FleetSimulator:
                         "numpy is unavailable (the vectorized core needs it)"
                     )
             if not reasons:
-                if epoch:
-                    return fast_core.run_epoch(self, trace, warmup_s)
-                return fast_core.run_vectorized(self, trace, warmup_s)
-            reason = "; ".join(reasons)
-            if self.core != "auto":
-                raise ValueError(
-                    f"core='{self.core}' is unavailable for this run: "
-                    f"{reason}; use core='python' or core='auto'"
+                replay = (
+                    fast_core.run_epoch if epoch else fast_core.run_vectorized
                 )
-            if not self._quiet_core_fallback:
+            else:
+                reason = "; ".join(reasons)
+                if self.core != "auto":
+                    raise ValueError(
+                        f"core='{self.core}' is unavailable for this run: "
+                        f"{reason}; use core='python' or core='auto'"
+                    )
                 _LOG.info(
                     "core='auto': falling back to the python event core (%s)",
                     reason,
                 )
-        heap = EventHeap()
-        if isinstance(trace, (list, tuple)):
-            if not trace:
-                raise ValueError("empty fleet trace")
-            import numpy as np
-
-            trace = list(trace)
-            arr = np.asarray([q.arrival_s for _, q in trace])
-            if len(arr) > 1 and bool((np.diff(arr) < 0.0).any()):
-                # Stable order keeps trace position on ties, matching
-                # the event counters the old all-arrivals-on-the-heap
-                # scheme assigned.
-                order = np.argsort(arr, kind="stable").tolist()
-                trace = [trace[k] for k in order]
-            # The last arrival (max, not the caller-order last element)
-            # bounds stochastic fault draws, exactly as before.
-            end_hint = float(arr.max())
-            arrivals = iter(trace)
-        else:
-            # A streamed source; trust its sort order (verified as the
-            # stream is consumed).  Its nominal end is needed only to
-            # bound stochastic fault draws -- fetched lazily because
-            # e.g. RecordedTrace.end_s costs a full file scan.
-            end_hint = None
-            if (
-                self.faults is not None
-                and getattr(self.faults, "stochastic_params", None) is not None
-            ):
-                end_hint = getattr(trace, "end_s", None)
-            arrivals = iter(trace)
-        first = next(arrivals, None)
-        if first is None:
-            raise ValueError("empty fleet trace")
-
-        # Windowed completion/arrival/drop feeds for the autoscaler.
-        window_lat: dict[str, list[float]] = {m: [] for m in self._routable}
-        window_arrivals: dict[str, int] = {m: 0 for m in self._routable}
-        window_drops: dict[str, int] = {m: 0 for m in self._routable}
-        scale_events: list = []
-        if self.autoscaler is not None:
-            # One tick lives on the heap at a time, rescheduled as it
-            # fires; seq -1 keeps the legacy tie order (a tick at
-            # exactly a finish timestamp still wins, arrivals still
-            # win over ticks).
-            heappush(heap.items, (self.autoscaler.window_s, -1, None, 0, None))
-
-        # Models with no replica anywhere in the fleet are added as the
-        # stream names them, so they still surface as dropped/violating.
-        # Sketch mode swaps the per-model sample lists for O(1)-memory
-        # accumulators exposing the same ``append((finish, lat))`` the
-        # loops call; the loops themselves are unchanged.
-        completions: dict
-        if self.percentile_mode == "sketch":
-            from repro.fleet.report import LatencySketchSeries
-
-            completions = {
-                m: LatencySketchSeries(
-                    sla_ms=self.sla_ms.get(m, float("inf")),
-                    warmup_s=warmup_s,
-                    horizon_s=horizon_s,
-                )
-                for m in self._routable
-            }
-            self._sketch_stats = completions
-        else:
-            self._sketch_stats = None
-            completions = {m: [] for m in self._routable}
-        dropped: dict[str, int] = {m: 0 for m in completions}
-        scaling = self.autoscaler is not None
-
-        # One lookup per arrival: model -> (replica list, policy).  The
-        # replica lists are the exact objects the autoscaler mutates.
-        streams = {
-            m: (self._routable[m], self._policies[m]) for m in self._routable
-        }
-        # The loop allocates an event tuple per batch and never builds
-        # cycles; keeping the generational GC out of it saves a few
-        # percent on long replays.
-        import gc
-
-        if self.observer is not None:
-            self.observer.bind(self)
+        # The loops allocate event tuples and batch lists and never
+        # build cycles; keeping the generational GC out of them saves a
+        # few percent on long replays.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            fault_info = run_fault_loop(
-                self, arrivals, first, streams, heap,
-                warmup_s, end_hint, scaling, completions, dropped,
-                window_lat, window_arrivals, window_drops, scale_events,
-                horizon_s,
-            )
+            completions, dropped, info = replay(self, trace, warmup_s, horizon_s)
         finally:
             if gc_was_enabled:
                 gc.enable()
-        count = fault_info["arrivals"]
-        horizon = fault_info["horizon"]
-        ticks = fault_info["ticks"]
 
+        horizon = info["horizon"]
         for server in self.servers:
             server.settle(horizon)
-        self.last_event_count = count + heap.seq + ticks
-        self.last_tick_count = ticks
-        self.last_query_log = fault_info.pop("log")
-
-        result = self._summarize(
-            completions, dropped, warmup_s, horizon, tuple(scale_events),
-            fault_info,
-        )
+        self.last_event_count = info["event_count"]
+        self.last_tick_count = info["ticks"]
+        self.last_query_log = info["log"]
+        result = self._summarize(completions, dropped, warmup_s, horizon, info)
         if self.carbon is not None:
             # Price the measured energy with the grid and execute any
             # deferrable jobs on the same timeline -- purely additive:
@@ -850,15 +757,14 @@ class FleetSimulator:
         dropped: dict[str, int],
         warmup_s: float,
         horizon: float,
-        scale_events: tuple,
-        fault_info: dict | None = None,
+        info: dict,
     ) -> FleetResult:
         import numpy as np
 
         duration = max(horizon - warmup_s, 1e-9)
-        failed_by = fault_info["failed"] if fault_info else {}
-        retried_by = fault_info["retried"] if fault_info else {}
-        hedged_by = fault_info["hedged"] if fault_info else {}
+        failed_by = info["failed"]
+        retried_by = info["retried"]
+        hedged_by = info["hedged"]
         per_model: dict[str, ModelStats] = {}
         for model, samples in completions.items():
             # Measure the window [warmup, horizon]: arrivals before the
@@ -948,31 +854,29 @@ class FleetSimulator:
                     domain=s.domain,
                 )
             )
+        # Uptime fraction of routable serving time: time replicas
+        # actually served over that plus time crashed-while-routable
+        # replicas spent dead.  Robust to mid-run activations and
+        # drains (both sides count the same replica-populations), and
+        # in [0, 1] by construction.
         availability = 1.0
-        fault_events: tuple = ()
-        phases: tuple = ()
-        if fault_info is not None:
-            # Uptime fraction of routable serving time: time replicas
-            # actually served over that plus time crashed-while-routable
-            # replicas spent dead.  Robust to mid-run activations and
-            # drains (both sides count the same replica-populations), and
-            # in [0, 1] by construction.
-            downtime = fault_info["downtime_s"]
+        downtime = info["downtime_s"]
+        if downtime > 0.0:
             serving = sum(s.active_s for s in self.servers)
-            if downtime > 0.0:
-                availability = serving / (serving + downtime)
-            fault_events = fault_info["events"]
-            if fault_events and self.percentile_mode == "exact":
-                # Sketch mode keeps no finish-stamped samples to bucket
-                # into phases; documented as empty in that mode.
-                from repro.fleet.report import phase_breakdown
+            availability = serving / (serving + downtime)
+        fault_events = info["events"]
+        phases: tuple = ()
+        if fault_events and self.percentile_mode == "exact":
+            # Sketch mode keeps no finish-stamped samples to bucket
+            # into phases; documented as empty in that mode.
+            from repro.fleet.report import phase_breakdown
 
-                phases = phase_breakdown(
-                    completions,
-                    tuple(ev.time_s for ev in fault_events),
-                    warmup_s,
-                    horizon,
-                )
+            phases = phase_breakdown(
+                completions,
+                tuple(ev.time_s for ev in fault_events),
+                warmup_s,
+                horizon,
+            )
         _, avg_power_w = fleet_power_summary(
             ((row.power_w, row.active_s) for row in server_stats), horizon
         )
@@ -982,9 +886,105 @@ class FleetSimulator:
             per_model=per_model,
             servers=tuple(server_stats),
             avg_power_w=avg_power_w,
-            scale_events=scale_events,
+            scale_events=info["scale_events"],
             events=self.last_event_count,
             availability=availability,
             fault_events=fault_events,
             phases=phases,
         )
+
+
+def _run_python(sim, trace, warmup_s: float, horizon_s: float | None):
+    """The per-event python core: one of the two fault loops.
+
+    Same contract as the vector entries in :mod:`repro.sim.fast_core`:
+    returns ``(completions, dropped, info)``, where ``info`` is the
+    run accounting :meth:`run` finishes from (the fault counters
+    ``_summarize`` reads, plus ``horizon``, ``ticks``,
+    ``event_count``, ``scale_events`` and ``log``).
+    """
+    heap = EventHeap()
+    if isinstance(trace, (list, tuple)):
+        if not trace and horizon_s is None:
+            raise ValueError("empty fleet trace")
+        import numpy as np
+
+        trace = list(trace)
+        arr = np.asarray([q.arrival_s for _, q in trace])
+        if len(arr) > 1 and bool((np.diff(arr) < 0.0).any()):
+            # Stable order keeps trace position on ties, matching
+            # the event counters the old all-arrivals-on-the-heap
+            # scheme assigned.
+            order = np.argsort(arr, kind="stable").tolist()
+            trace = [trace[k] for k in order]
+        # The last arrival (max, not the caller-order last element)
+        # bounds stochastic fault draws, exactly as before.
+        end_hint = float(arr.max()) if len(arr) else None
+        arrivals = iter(trace)
+    else:
+        # A streamed source; trust its sort order (verified as the
+        # stream is consumed).  Its nominal end is needed only to
+        # bound stochastic fault draws -- fetched lazily because
+        # e.g. RecordedTrace.end_s costs a full file scan.
+        end_hint = None
+        if (
+            sim.faults is not None
+            and getattr(sim.faults, "stochastic_params", None) is not None
+        ):
+            end_hint = getattr(trace, "end_s", None)
+        arrivals = iter(trace)
+    first = next(arrivals, None)
+    if first is None and horizon_s is None:
+        raise ValueError("empty fleet trace")
+
+    # Windowed completion/arrival/drop feeds for the autoscaler.
+    window_lat: dict[str, list[float]] = {m: [] for m in sim._routable}
+    window_arrivals: dict[str, int] = {m: 0 for m in sim._routable}
+    window_drops: dict[str, int] = {m: 0 for m in sim._routable}
+    scale_events: list = []
+    if sim.autoscaler is not None:
+        # One tick lives on the heap at a time, rescheduled as it
+        # fires; seq -1 keeps the legacy tie order (a tick at
+        # exactly a finish timestamp still wins, arrivals still
+        # win over ticks).
+        heappush(heap.items, (sim.autoscaler.window_s, -1, None, 0, None))
+
+    # Models with no replica anywhere in the fleet are added as the
+    # stream names them, so they still surface as dropped/violating.
+    # Sketch mode swaps the per-model sample lists for O(1)-memory
+    # accumulators exposing the same ``append((finish, lat))`` the
+    # loops call; the loops themselves are unchanged.
+    completions: dict
+    if sim.percentile_mode == "sketch":
+        from repro.fleet.report import LatencySketchSeries
+
+        completions = {
+            m: LatencySketchSeries(
+                sla_ms=sim.sla_ms.get(m, float("inf")),
+                warmup_s=warmup_s,
+                horizon_s=horizon_s,
+            )
+            for m in sim._routable
+        }
+        sim._sketch_stats = completions
+    else:
+        sim._sketch_stats = None
+        completions = {m: [] for m in sim._routable}
+    dropped: dict[str, int] = {m: 0 for m in completions}
+
+    # One lookup per arrival: model -> (replica list, policy).  The
+    # replica lists are the exact objects the autoscaler mutates.
+    streams = {
+        m: (sim._routable[m], sim._policies[m]) for m in sim._routable
+    }
+    if sim.observer is not None:
+        sim.observer.bind(sim)
+    info = run_fault_loop(
+        sim, arrivals, first, streams, heap,
+        warmup_s, end_hint, sim.autoscaler is not None, completions,
+        dropped, window_lat, window_arrivals, window_drops, scale_events,
+        horizon_s,
+    )
+    info["event_count"] = info.pop("arrivals") + heap.seq + info["ticks"]
+    info["scale_events"] = tuple(scale_events)
+    return completions, dropped, info

@@ -996,8 +996,9 @@ def run_fault_loop(
       *light* loop runs -- every fault-free run takes it.  It keeps no
       per-query records (crash victims simply fail), so an empty or
       sparse schedule costs almost nothing.  ``last_query_log`` stays
-      empty.  Only this loop honours a forced ``horizon_s`` (the
-      engine refuses one when fault machinery is configured).
+      empty.  Of the python loops only this one honours a forced
+      ``horizon_s`` (the engine refuses one when fault machinery is
+      configured).
     - Otherwise the *tracked* loop runs: every query gets a
       :class:`TrackedQuery` with per-attempt history, enabling retries,
       hedging, and the full query log.
@@ -1332,7 +1333,8 @@ def _run_light_loop(
     replaces that discovery: every pre-exhaustion event is earlier
     than the stream's last arrival <= ``horizon_s``, while autoscaler
     ticks keep firing up to the forced horizon exactly as they would
-    in the fleet-wide run.
+    in the fleet-wide run.  An empty stream (``first is None``) is then
+    an idle run: only the ticks fire.
     """
     events = heap.items
     dead = heap.dead
@@ -1392,7 +1394,8 @@ def _run_light_loop(
 
     # -- the loop ------------------------------------------------------
     nxt = first
-    nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
+    if first is not None:  # None: an empty stream under a forced horizon
+        nxt_t = first[1][1]  # arrival_s via the namedtuple fast path
     while True:
         if nxt is not None:
             now = nxt_t

@@ -37,12 +37,13 @@ Limitations (all raise actionable errors): fault injection, retries,
 hedging, and observers couple shards (cross-model dead domains,
 shared query logs) and are not supported — run those single-process,
 optionally with ``percentile_mode="sketch"`` for the memory ceiling.
+The epoch core is refused too: its micro-epochs span models, so
+per-model shards would route differently.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import os
 from dataclasses import dataclass
 
@@ -52,8 +53,6 @@ from repro.fleet.report import FleetResult, fleet_power_summary
 from repro.fleet.routing import RoutingPolicy, make_policy
 from repro.traces.arrivals import MODEL_SEED_STRIDE, FleetArrivals
 from repro.traces.recorded import RecordedTrace
-
-_LOG = logging.getLogger(__name__)
 
 __all__ = ["run_fleet_sharded", "merge_shard_results", "plan_shards"]
 
@@ -191,8 +190,9 @@ def _run_shard_task(task: tuple):
 
     Returns ``(FleetResult, ticks)`` with replica rows and scale-event
     targets already translated to fleet-global indices.  A shard whose
-    sub-stream drew no arrivals still accounts its idle replicas over
-    the full window, exactly as the single-process run would.
+    sub-stream drew no arrivals is an ordinary idle run against the
+    forced horizon: its replicas idle, and its autoscaler ticks, over
+    the full window, exactly as in the single-process run.
     """
     (
         allocation,
@@ -222,33 +222,11 @@ def _run_shard_task(task: tuple):
         core=core,
         percentile_mode=percentile_mode,
     )
-    # The parent already logged the auto-core fallback once for the
-    # whole run; don't repeat it from every worker.
-    sim._quiet_core_fallback = True
     # Reseed each model's policy to its fleet-wide sorted index: the
     # engine numbered them within the shard.
     for model in sim._policies:
         sim._policies[model] = make_policy(policy, seed=policy_seeds[model])
-    try:
-        result = sim.run(source, warmup_s=warmup_s, horizon_s=horizon)
-        ticks = sim.last_tick_count
-    except ValueError as exc:
-        if "empty fleet trace" not in str(exc):
-            raise
-        # No arrivals for this shard's models: replicas idle through
-        # the whole window (active_s = horizon, zero completions).
-        for s in sim.servers:
-            s.settle(horizon)
-        completions: dict = {m: [] for m in sim._routable}
-        result = sim._summarize(
-            completions,
-            {m: 0 for m in completions},
-            warmup_s,
-            horizon,
-            (),
-            None,
-        )
-        ticks = 0
+    result = sim.run(source, warmup_s=warmup_s, horizon_s=horizon)
     gmap = dict(enumerate(global_indices))
     rows = tuple(
         dataclasses.replace(row, index=gmap[row.index], domain=gmap[row.index])
@@ -261,7 +239,10 @@ def _run_shard_task(task: tuple):
         )
         for ev in result.scale_events
     )
-    return dataclasses.replace(result, servers=rows, scale_events=events), ticks
+    return (
+        dataclasses.replace(result, servers=rows, scale_events=events),
+        sim.last_tick_count,
+    )
 
 
 def merge_shard_results(
@@ -352,6 +333,9 @@ def run_fleet_sharded(
             per-model, so the union matches the fleet-wide run).
         percentile_mode: ``"exact"`` (bit-identical merge) or
             ``"sketch"`` (O(models) report memory; see the engine).
+        core: Every worker's event core.  Each worker picks (and, under
+            ``"auto"``, logs) its own core; ``"vector-epoch"`` is
+            refused.
         max_workers: Pool size cap (defaults to ``min(shards, cpus)``).
     """
     if shards < 1:
@@ -362,11 +346,12 @@ def run_fleet_sharded(
             "policies hold per-stream state that cannot be split "
             "across worker processes"
         )
-    if core in ("vector", "vector-epoch"):
+    if core == "vector-epoch":
         raise ValueError(
-            "sharded workers run against a forced fleet-wide horizon, "
-            "which requires the per-event core; use core='auto' or "
-            "core='python'"
+            "core='vector-epoch' cannot be sharded: its micro-epochs "
+            "span every model's arrivals, so per-model shards route "
+            "differently from the fleet-wide run; use core='auto', "
+            "'vector' or 'python'"
         )
     sla_ms = dict(sla_ms or {})
 
@@ -382,14 +367,6 @@ def run_fleet_sharded(
             percentile_mode=percentile_mode,
         )
         return sim.run(source, warmup_s=warmup_s)
-
-    if core != "python":
-        # Logged once here for the whole run; workers are quieted.
-        _LOG.info(
-            "core='auto': sharded workers fall back to the python event "
-            "core (a forced fleet-wide measurement horizon requires "
-            "per-event accounting)"
-        )
 
     rows = _global_rows(allocation, standby)
     if not rows:

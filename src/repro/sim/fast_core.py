@@ -50,8 +50,6 @@ automatically; ``core="vector"`` raises an actionable error).
 
 from __future__ import annotations
 
-import functools
-import gc
 from heapq import heappop, heappush, heapreplace
 
 import numpy as np
@@ -473,21 +471,23 @@ class _LocalReplicaSim:
         self.seq = seq
 
 
-def _ingest(sim, trace):
+def _ingest(sim, trace, horizon_s):
     """Materialize the trace into flat arrays (sorted by arrival).
 
     Lists/tuples are stably sorted like the python core; streamed
     sources must already be sorted (same error text as the engine's
-    lazy check).  Returns ``(arr_t, arr_size, arr_pool, arr_m,
-    model_names, codes)`` where ``codes`` maps model name -> row code
-    (routable models first, in sorted order, then unknown models in
-    first-arrival order).
+    lazy check).  Returns ``(ingested, horizon)``: ``ingested`` is
+    ``(arr_t, arr_size, arr_pool, arr_m, model_names, codes)`` where
+    ``codes`` maps model name -> row code (routable models first, in
+    sorted order, then unknown models in first-arrival order), and
+    ``horizon`` is the forced ``horizon_s`` or else the last arrival --
+    the python light loop's rules, errors included.
     """
     is_list = isinstance(trace, (list, tuple))
     pairs = list(trace)
-    if not pairs:
-        raise ValueError("empty fleet trace")
     n = len(pairs)
+    if not n and horizon_s is None:
+        raise ValueError("empty fleet trace")
     arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
     arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
     arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
@@ -518,29 +518,16 @@ def _ingest(sim, trace):
     model_names = [None] * len(codes)
     for m, c in codes.items():
         model_names[c] = m
-    return arr_t, arr_size, arr_pool, arr_m, model_names, codes
-
-
-def _gc_paused(run):
-    """Run a vector entry with the generational GC off.
-
-    The local replica loops allocate event tuples and batch lists and
-    never build cycles; keeping the generational GC out of them saves a
-    few percent, exactly as the python core's hot loop does.
-    """
-
-    @functools.wraps(run)
-    def paused(sim, trace, warmup_s: float = 0.0):
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            return run(sim, trace, warmup_s)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    return paused
+    if horizon_s is None:
+        horizon = float(arr_t[-1])
+    else:
+        if n and arr_t[-1] > horizon_s:
+            raise ValueError(
+                f"horizon_s={horizon_s!r} precedes the "
+                f"stream's last arrival (t={float(arr_t[-1])!r})"
+            )
+        horizon = horizon_s
+    return (arr_t, arr_size, arr_pool, arr_m, model_names, codes), horizon
 
 
 def _settle_drained(pending_settles: dict, cut: float = float("inf")) -> None:
@@ -559,16 +546,15 @@ def _settle_drained(pending_settles: dict, cut: float = float("inf")) -> None:
 
 
 def _finish_run(
-    sim, ingested, warmup_s, horizon, finish, server_of, routed, dropped,
-    drop_order, scale_events, events, ticks, fault_info,
+    sim, ingested, warmup_s, horizon, finish, server_of, routed, drop_order
 ):
-    """The shared end of a vector run: counters, completions, summary.
+    """The shared end of a vector run: replica counters and completions.
 
     Writes each server's final counters from the per-arrival
     ``finish``/``server_of`` arrays (``routed`` masks the arrivals that
-    completed on a replica), builds every model's finish-sorted
-    ``(finish, latency)`` completion arrays, records the run's event and
-    tick counts, and hands all of it to ``sim._summarize``.
+    completed on a replica) and returns every model's finish-sorted
+    ``(finish, latency)`` completion arrays.  The engine finishes the
+    run from there, exactly as it does after the python core.
     """
     arr_t, arr_size, _, arr_m, _, codes = ingested
     servers = sim.servers
@@ -588,7 +574,6 @@ def _finish_run(
         s.items_done = int(items[i])
         s.completed_in_window = int(inwin[i])
         s.outstanding = 0
-        s.settle(horizon)
 
     lat_all = finish - arr_t
     completions: dict[str, tuple] = {}
@@ -605,18 +590,10 @@ def _finish_run(
         lat_m = lat_all[sel]
         o = np.argsort(fin_m, kind="stable")
         completions[model] = (fin_m[o], lat_m[o])
-
-    sim.last_event_count = events
-    sim.last_tick_count = ticks
-    sim.last_query_log = ()
-    return sim._summarize(
-        completions, dropped, warmup_s, horizon, tuple(scale_events),
-        fault_info,
-    )
+    return completions
 
 
-@_gc_paused
-def run_vectorized(sim, trace, warmup_s: float = 0.0):
+def run_vectorized(sim, trace, warmup_s: float = 0.0, horizon_s=None):
     """Play ``trace`` through the vectorized core, exactly.
 
     The one exact vector entry, for fault-free and faulted runs alike.
@@ -629,10 +606,14 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
     :class:`~repro.fleet.faults._FaultState` applies role changes,
     heap cancellation (killed in-flight queries), and service
     rescaling.  With no schedule the boundaries are the ticks alone.
+    A forced ``horizon_s`` (fault-free runs only) moves the tick grid's
+    end and the measurement cut exactly as in the light loop.
     Results are bit-identical to the python light loop (modulo the
     cross-replica tie caveat in the module docstring); the caller has
     verified eligibility (outstanding-oblivious routing, no retries,
     hedging or observer), so ``core="auto"`` can take this path.
+    Returns ``(completions, dropped, info)``, the engine's core
+    contract (see ``FleetSimulator.run``).
     """
     from repro.fleet.faults import (
         _FaultState,
@@ -651,12 +632,11 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
         and getattr(sim.faults, "stochastic_params", None) is not None
     ):
         end_hint = getattr(trace, "end_s", None)
-    ingested = _ingest(sim, trace)
+    ingested, horizon = _ingest(sim, trace, horizon_s)
     arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
-    last_t = float(arr_t[-1])
     if isinstance(trace, (list, tuple)):
-        end_hint = last_t
+        end_hint = horizon
     fault_evs = tuple(_materialized_faults(sim, n_servers, end_hint))
     scaling = sim.autoscaler is not None
     window_s = sim.autoscaler.window_s if scaling else 0.0
@@ -897,7 +877,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
             # failed counts use the completions measurement window
             # (arrival after warmup, crash at or before the horizon);
             # the autoscaler's failure feed stays unfiltered.
-            in_horizon = now <= last_t
+            in_horizon = now <= horizon
             for code, at in zip(arr_m[vict].tolist(), arr_t[vict].tolist()):
                 model = model_names[code]
                 if in_horizon and at >= warmup_s:
@@ -942,7 +922,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
     # -- boundary loop -------------------------------------------------
     pos = 0
     for kind, item in iter_boundaries(
-        fault_evs, window_s if scaling else 0.0, last_t
+        fault_evs, window_s if scaling else 0.0, horizon
     ):
         bt = item if kind == "tick" else item.time_s
         hi = int(np.searchsorted(arr_t, bt, side="right"))
@@ -984,7 +964,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
                         # runs out of work.
                         draining_fuse.add(drained)
         else:
-            hz = float("inf") if bt < last_t else last_t
+            hz = float("inf") if bt < horizon else horizon
             fstate.apply(item, bt, hz, kill_in_flight)
 
     # -- final fault-free stretch --------------------------------------
@@ -996,20 +976,25 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
         draining_fuse.clear()
         _settle_drained(pending_settles)
 
-    fault_info = {
+    completions = _finish_run(
+        sim, ingested, warmup_s, horizon, finish, server_of,
+        (server_of >= 0) & ~killed, drop_order,
+    )
+    local_pushes = sum(r.seq for r in runners.values())
+    return completions, dropped, {
         "failed": failed,
         "retried": {},
         "hedged": {},
         "events": tuple(fstate.applied),
-        "downtime_s": fstate.close(last_t),
+        "downtime_s": fstate.close(horizon),
+        "horizon": horizon,
+        "ticks": ticks,
+        "event_count": (
+            n + len(fault_evs) + direct_pushes + local_pushes + ticks
+        ),
+        "scale_events": tuple(scale_events),
+        "log": (),
     }
-    local_pushes = sum(r.seq for r in runners.values())
-    return _finish_run(
-        sim, ingested, warmup_s, last_t, finish, server_of,
-        (server_of >= 0) & ~killed, dropped, drop_order, scale_events,
-        n + len(fault_evs) + direct_pushes + local_pushes + ticks, ticks,
-        fault_info,
-    )
 
 
 # The same entry under its former name for faulted runs:
@@ -1018,8 +1003,7 @@ def run_vectorized(sim, trace, warmup_s: float = 0.0):
 run_vectorized_faults = run_vectorized
 
 
-@_gc_paused
-def run_epoch(sim, trace, warmup_s: float = 0.0):
+def run_epoch(sim, trace, warmup_s: float = 0.0, horizon_s=None):
     """Play ``trace`` through the fleet on the epoch-batched core.
 
     Queue-aware policies (``least`` / ``p2c``) read live outstanding
@@ -1038,13 +1022,13 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     ``tests/test_fast_core.py``'s calibrated lane bounds the per-model
     p50/p99/violation/power drift.  Fault machinery is refused by the
     caller (mid-epoch kills would invalidate the snapshot contract).
+    ``horizon_s`` and the return value follow :func:`run_vectorized`.
     """
     servers = sim.servers
     n_servers = len(servers)
-    ingested = _ingest(sim, trace)
+    ingested, horizon = _ingest(sim, trace, horizon_s)
     arr_t, arr_size, arr_pool, arr_m, model_names, codes = ingested
     n = len(arr_t)
-    horizon = float(arr_t[-1])
     eps = sim.epoch_ms * 1e-3
     scaling = sim.autoscaler is not None
     window_s = sim.autoscaler.window_s if scaling else 0.0
@@ -1062,7 +1046,7 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
     ml = arr_m.tolist()
     fin_l = [0.0] * n
     server_of = np.full(n, -1, dtype=np.int64)
-    max_sz = int(arr_size.max())
+    max_sz = int(arr_size.max()) if n else 0
 
     # Per-replica queue state for the snapshots: ``out_ct`` is the
     # routed-minus-retired count the router reads; ``pend`` holds the
@@ -1325,9 +1309,20 @@ def run_epoch(sim, trace, warmup_s: float = 0.0):
         bank(srv_i, runner)
     _settle_drained(pending_settles)
 
-    local_pushes = sum(r.seq for r in runners.values())
-    return _finish_run(
+    completions = _finish_run(
         sim, ingested, warmup_s, horizon, np.asarray(fin_l), server_of,
-        server_of >= 0, dropped, drop_order, scale_events,
-        n + direct_pushes + local_pushes + ticks, ticks, None,
+        server_of >= 0, drop_order,
     )
+    local_pushes = sum(r.seq for r in runners.values())
+    return completions, dropped, {
+        "failed": {},
+        "retried": {},
+        "hedged": {},
+        "events": (),
+        "downtime_s": 0.0,
+        "horizon": horizon,
+        "ticks": ticks,
+        "event_count": n + direct_pushes + local_pushes + ticks,
+        "scale_events": tuple(scale_events),
+        "log": (),
+    }

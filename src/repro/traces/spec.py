@@ -30,6 +30,7 @@ ramp carrying burst storms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.sim.queries import QueryWorkload
@@ -59,7 +60,17 @@ _DIURNAL_KEYS = {
 }
 
 
-def _parse_kv(section: str, body: str, allowed: set[str]) -> dict[str, str]:
+def parse_kv(
+    flag: str, section: str, body: str, allowed: set[str]
+) -> dict[str, str]:
+    """Split one section's ``key=value,...`` body.
+
+    Shared by every ``shape:key=value`` CLI grammar (``--arrivals``,
+    ``--carbon``, ``--deferrable``).  Unknown and duplicate keys, and
+    non-finite numbers (``nan``/``inf``, also inside a slash list),
+    raise naming the key and the section; everything else is converted
+    by the shape that reads it.
+    """
     out: dict[str, str] = {}
     if not body:
         return out
@@ -67,19 +78,30 @@ def _parse_kv(section: str, body: str, allowed: set[str]) -> dict[str, str]:
         key, sep, value = pair.strip().partition("=")
         if not sep or key not in allowed:
             raise ValueError(
-                f"bad arrivals parameter {pair!r} in section {section!r}; "
+                f"bad {flag} parameter {pair!r} in section {section!r}; "
                 f"known keys: {', '.join(sorted(allowed))}"
             )
         if key in out:
             raise ValueError(
-                f"duplicate arrivals parameter {key!r} in section "
+                f"duplicate {flag} parameter {key!r} in section "
                 f"{section!r}; each key may appear once"
             )
+        for number in value.split("/"):
+            try:
+                finite = math.isfinite(float(number))
+            except ValueError:
+                continue  # not a number at all: its reader reports it
+            if not finite:
+                raise ValueError(
+                    f"bad {flag} parameter {key}={value!r} in section "
+                    f"{section!r}; values must be finite numbers"
+                )
         out[key] = value
     return out
 
 
-def _floats(text: str, what: str) -> tuple[float, ...]:
+def parse_floats(text: str, what: str) -> tuple[float, ...]:
+    """A slash-separated list of numbers (``levels=0.2/1.5``)."""
     try:
         return tuple(float(v) for v in text.split("/"))
     except ValueError:
@@ -102,16 +124,16 @@ class _Section:
             return PoissonProcess(workload, qps, duration_s)
         if self.shape == "mmpp":
             if "qps" in p:
-                rates = _floats(p["qps"], "qps")
+                rates = parse_floats(p["qps"], "qps")
             elif "levels" in p:
                 rates = tuple(
-                    peak_qps * lv for lv in _floats(p["levels"], "levels")
+                    peak_qps * lv for lv in parse_floats(p["levels"], "levels")
                 )
             else:
                 raise ValueError("mmpp needs levels= (or qps=)")
             if "dwell" not in p:
                 raise ValueError("mmpp needs dwell=")
-            dwell = _floats(p["dwell"], "dwell")
+            dwell = parse_floats(p["dwell"], "dwell")
             return MMPPProcess(
                 workload,
                 rates,
@@ -181,15 +203,15 @@ def parse_arrivals(spec: str) -> ArrivalSpec:
         shape, _, body = raw.partition(":")
         shape = shape.strip()
         if shape == "poisson":
-            params = _parse_kv(raw, body, _POISSON_KEYS)
+            params = parse_kv("--arrivals", raw, body, _POISSON_KEYS)
         elif shape == "mmpp":
-            params = _parse_kv(raw, body, _MMPP_KEYS)
+            params = parse_kv("--arrivals", raw, body, _MMPP_KEYS)
             if "levels" not in params and "qps" not in params:
                 raise ValueError(f"{raw!r}: mmpp needs levels= (or qps=)")
             if "dwell" not in params:
                 raise ValueError(f"{raw!r}: mmpp needs dwell=")
         elif shape == "diurnal":
-            params = _parse_kv(raw, body, _DIURNAL_KEYS)
+            params = parse_kv("--arrivals", raw, body, _DIURNAL_KEYS)
         else:
             raise ValueError(
                 f"unknown arrival shape {shape!r} in {raw!r}; one of "

@@ -11,8 +11,9 @@ Three lanes:
 - **Error lane**: malformed trace rows fail with ``"{path}:{line}:"``
   prefixes, spec mini-language mistakes name the offending section.
 - **Fleet lane**: a carbon-attached replay populates ``result.carbon``
-  deterministically and rejects inconsistent knob combinations.  (The
-  carbon-off == carbon-on differential pin lives in
+  deterministically, rejects inconsistent knob combinations, and
+  prices the same activation windows on the vector core as on the
+  python core.  (The carbon-off == carbon-on differential pin lives in
   ``tests/test_perf_equivalence.py``.)
 """
 
@@ -367,6 +368,14 @@ class TestSpecs:
             parse_carbon("step:levels=1/2,at=0").build()
         with pytest.raises(ValueError, match="empty"):
             parse_carbon("  ")
+        # Non-finite numbers used to reach the report as a NaN total,
+        # which is not valid JSON.
+        with pytest.raises(ValueError, match="base='nan'.*finite"):
+            parse_carbon("diurnal:base=nan,swing=1")
+        with pytest.raises(ValueError, match="intensity='inf'"):
+            parse_carbon("constant:intensity=inf")
+        with pytest.raises(ValueError, match="levels='1/nan'"):
+            parse_carbon("step:levels=1/nan,at=0/1")
 
     def test_deferrable_spec_builds_jobs(self):
         spec = parse_deferrable(
@@ -388,6 +397,10 @@ class TestSpecs:
             parse_deferrable("tasks:duration=1,power=1")
         with pytest.raises(ValueError, match="slack"):
             parse_deferrable("jobs:duration=1,power=1,slack=-1").build(10.0)
+        with pytest.raises(ValueError, match="duration='nan'.*finite"):
+            parse_deferrable("jobs:count=2,duration=nan,power=1")
+        with pytest.raises(ValueError, match="every='inf'"):
+            parse_deferrable("jobs:duration=1,power=1,every=inf")
 
 
 class TestFleetPowerSummary:
@@ -480,8 +493,100 @@ class TestFleetIntegration:
                 deferrable_policy="greedy",
             )
 
-    def test_vector_core_refuses_carbon(self, fleet_run):
-        """Window recording needs the per-event core; core='vector'
-        must fail actionably rather than silently skip accounting."""
-        with pytest.raises(ValueError, match="carbon"):
-            fleet_run(carbon=CarbonTrace.constant(100.0), core="vector")
+
+
+class TestCarbonCoreEquality:
+    """Carbon is priced after whichever core ran.
+
+    Both cores settle replicas at the same boundaries (autoscaler
+    ticks, drains, fault events, the horizon), so the vector core
+    records the same activation windows the python core does, and the
+    carbon block, the deferrable plan and every window compare ``==``.
+    """
+
+    @staticmethod
+    def _run(small_table, scenario, jobs, core):
+        from repro.cluster.state import Allocation
+        from repro.fleet import (
+            FaultSchedule,
+            FleetSimulator,
+            PredictiveAutoscaler,
+            ReactiveAutoscaler,
+            build_fleet,
+            build_fleet_trace,
+        )
+        from repro.fleet.faults import crash, slowdown
+        from repro.models import build_model
+        from repro.sim import QueryWorkload
+
+        models = {"DLRM-RMC1": build_model("DLRM-RMC1")}
+        workloads = {
+            "DLRM-RMC1": QueryWorkload.for_model(
+                models["DLRM-RMC1"].config.mean_query_size
+            )
+        }
+        allocation = Allocation()
+        allocation.add("T2", "DLRM-RMC1", 1)
+        allocation.add("T7", "DLRM-RMC1", 1)
+        standby = Allocation()
+        standby.add("T2", "DLRM-RMC1", 2)
+        qps = small_table.qps("T2", "DLRM-RMC1")
+        trace = build_fleet_trace(
+            workloads, {"DLRM-RMC1": [(2.0 * qps, 3.0)]}, seed=23
+        )
+        sla = {"DLRM-RMC1": 20.0}
+        kwargs = {}
+        if scenario in ("reactive", "faults-reactive"):
+            kwargs["autoscaler"] = ReactiveAutoscaler(
+                sla, window_s=0.25, cooldown_s=0.5
+            )
+        elif scenario == "predictive":
+            kwargs["autoscaler"] = PredictiveAutoscaler(sla, window_s=0.25)
+        if scenario.startswith("faults"):
+            kwargs["faults"] = FaultSchedule(
+                [
+                    crash(0.8, 0, recover_after=0.5),
+                    slowdown(0.4, 1, 2.0, duration=0.6),
+                ]
+            )
+        if jobs:
+            kwargs.update(
+                deferrable=(
+                    DeferrableJob("a", 0.1, 0.6, 900.0, 2.4),
+                    DeferrableJob("b", 0.5, 0.4, 600.0, 2.9),
+                ),
+                deferrable_policy="carbon-waiting",
+                power_cap_w=1400.0,
+            )
+        servers = build_fleet(
+            allocation, small_table, models, workloads, standby=standby
+        )
+        sim = FleetSimulator(
+            servers, policy="rr", sla_ms=sla, seed=5, core=core,
+            carbon=CarbonTrace.diurnal(period_s=3.0, steps=12), **kwargs,
+        )
+        return sim, sim.run(trace, warmup_s=0.3)
+
+    @pytest.mark.parametrize("jobs", [False, True], ids=["realtime", "jobs"])
+    @pytest.mark.parametrize(
+        "scenario",
+        ["static", "reactive", "predictive", "faults", "faults-reactive"],
+    )
+    def test_vector_core_prices_carbon_like_python(
+        self, small_table, scenario, jobs
+    ):
+        sim_py, base = self._run(small_table, scenario, jobs, "python")
+        sim_vec, vec = self._run(small_table, scenario, jobs, "vector")
+        assert base.carbon is not None and base.carbon.realtime_g > 0.0
+        assert vec.carbon == base.carbon
+        assert sim_vec.last_deferrable_report == sim_py.last_deferrable_report
+        assert [s.active_windows for s in sim_vec.servers] == [
+            s.active_windows for s in sim_py.servers
+        ]
+        assert json.dumps(vec.to_dict()) == json.dumps(base.to_dict())
+        if jobs:
+            assert base.carbon.jobs_submitted == 2
+        if scenario != "static" and not scenario.startswith("faults"):
+            assert base.scale_events  # the scaler actually acted
+        if scenario.startswith("faults"):
+            assert base.fault_events

@@ -454,3 +454,34 @@ class TestCarbonCLI:
                 ["provision-carbon-aware", *self.CARBON, "--power-caps", "abc"]
             )
         capsys.readouterr()
+
+
+class TestShardsCLI:
+    """``--shards`` with ``--core``: every core but vector-epoch shards."""
+
+    FLEET = [
+        "fleet",
+        "--servers", "4",
+        "--server-types", "T2",
+        "--models", "DLRM-RMC1", "DLRM-RMC2",
+        "--policy", "rr",
+        "--duration", "2",
+        "--segments", "8",
+    ]
+
+    def test_shards_refuse_vector_epoch_with_a_message(self):
+        with pytest.raises(SystemExit, match="vector-epoch") as exc:
+            main([*self.FLEET, "--shards", "2", "--core", "vector-epoch"])
+        assert "span" in str(exc.value.code)  # the reason is given
+
+    def test_sharded_vector_core_matches_single_process(self, capsys):
+        """``--core vector`` is no longer swapped for python under
+        ``--shards``: the workers run it and the merge is exact."""
+        import json
+
+        assert main([*self.FLEET, "--core", "vector", "--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert main(
+            [*self.FLEET, "--core", "vector", "--shards", "2", "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == single

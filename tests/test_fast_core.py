@@ -1,9 +1,11 @@
 """Differential lane: the vectorized event core vs the python core.
 
 ``core="vector"`` promises *bit-identical* results to ``core="python"``
-for every run it accepts (outstanding-oblivious routing, no faults, no
-live observer): the per-replica float recurrences are evaluated in the
-same order, so summaries are compared with ``==`` -- no tolerances.
+for every run it accepts (outstanding-oblivious routing, no retries,
+hedging or tracing, no live observer; plain fault schedules, carbon
+accounting and a forced horizon are all accepted): the per-replica
+float recurrences are evaluated in the same order, so summaries are
+compared with ``==`` -- no tolerances.
 The only reordering the design permits is cross-replica finish-time
 ties inside one model's completion stream (documented in
 ``docs/performance.md``); none of the traffic here produces one, so the
@@ -14,7 +16,7 @@ weighted), arrival shapes (piecewise Poisson, MMPP bursts, diurnal
 ramps, recorded replay), and autoscaler modes (none, reactive,
 predictive) -- and then asserts the *other* half of the contract: every
 ineligible configuration falls back (``auto`` logs why, ``vector``
-raises), so queue-aware policies, fault loops, tracking, and live
+raises), so queue-aware policies, retries, hedging, tracing, and live
 observers always get the exact per-event core.
 """
 

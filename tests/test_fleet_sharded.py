@@ -11,9 +11,13 @@ at benchmark scale).  Sketch mode keeps the counting stats float-exact
 and is held to the calibrated P² rank-band criterion from
 ``tests/test_obs.py`` on percentiles.
 
-Unit tests cover the shard planner, the actionable refusals (policy
-instances, the vector core, bare iterators), orphan models, arrival
-seed lanes, and the engine's forced-horizon guard rails.
+The vector cores shard too: each worker replays against the forced
+fleet-wide horizon on whichever core it selects, and the merge stays
+``==``.  A shard whose models drew no arrivals is an ordinary idle run
+(its autoscaler still ticks).  Unit tests cover the shard planner, the
+actionable refusals (policy instances, the epoch core, bare
+iterators), orphan models, arrival seed lanes, and the engine's
+forced-horizon rules on both cores.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.cluster.state import Allocation
 from repro.fleet import (
     FaultSchedule,
     FleetSimulator,
+    PredictiveAutoscaler,
     ReactiveAutoscaler,
     build_fleet,
 )
@@ -75,13 +80,15 @@ def _run(
     percentile_mode="exact",
     autoscale=False,
     standby=None,
+    core="python",
 ):
+    """``autoscale``: False, True (reactive), or "reactive"/"predictive"."""
     table, models, workloads, allocation = inputs
-    autoscaler = (
-        ReactiveAutoscaler(SLA, window_s=0.2, cooldown_s=0.4)
-        if autoscale
-        else None
-    )
+    autoscaler = None
+    if autoscale == "predictive":
+        autoscaler = PredictiveAutoscaler(SLA, window_s=0.2)
+    elif autoscale:
+        autoscaler = ReactiveAutoscaler(SLA, window_s=0.2, cooldown_s=0.4)
     return run_fleet_sharded(
         allocation,
         table,
@@ -96,7 +103,7 @@ def _run(
         percentile_mode=percentile_mode,
         warmup_s=0.1,
         standby=standby,
-        core="python",
+        core=core,
         max_workers=2,
     )
 
@@ -208,6 +215,46 @@ class TestShardedMergeBitIdentity:
         assert out.per_model["DLRM-RMC2"].completed == 0
         assert out.avg_power_w == ref.avg_power_w
 
+    @pytest.mark.parametrize("mode", ["reactive", "predictive"])
+    @pytest.mark.parametrize("core", ["python", "auto"])
+    def test_idle_shard_with_autoscaler_matches_single_process(
+        self, fleet_inputs, core, mode
+    ):
+        """A model with replicas but no arrivals, under an autoscaler:
+        its shard runs the engine like any other, so its scaler ticks
+        through the window and drains the idle replicas exactly as the
+        single-process run does (scale events, active time, power)."""
+        table, models, workloads, allocation = fleet_inputs
+        standby = Allocation()
+        standby.add("T2", "DLRM-RMC1", 1)
+        standby.add("T3", "DLRM-RMC2", 1)
+        source = FleetArrivals(
+            {"DLRM-RMC1": PoissonProcess(workloads["DLRM-RMC1"], 900.0, 1.2)},
+            seed=9,
+        )
+        kwargs = dict(autoscale=mode, standby=standby, core=core)
+        ref = _run(fleet_inputs, source, shards=1, **kwargs)
+        out = _run(fleet_inputs, source, shards=2, **kwargs)
+        assert out.to_dict() == ref.to_dict()
+        assert any(ev.model == "DLRM-RMC2" for ev in ref.scale_events)
+
+    @pytest.mark.parametrize("policy", ["rr", "weighted"])
+    @pytest.mark.parametrize("core", ["vector", "auto"])
+    def test_vector_cores_merge_identically(self, fleet_inputs, core, policy):
+        """Workers on the vector core replay against the forced
+        fleet-wide horizon; the merge equals the single-process run on
+        the same core, and both equal the python core."""
+        standby = Allocation()
+        standby.add("T2", "DLRM-RMC1", 2)
+        standby.add("T3", "DLRM-RMC2", 1)
+        source = _source(fleet_inputs[2], seed=7)
+        kwargs = dict(policy=policy, seed=7, autoscale=True, standby=standby)
+        ref = _run(fleet_inputs, source, shards=1, core="python", **kwargs)
+        single = _run(fleet_inputs, source, shards=1, core=core, **kwargs)
+        out = _run(fleet_inputs, source, shards=2, core=core, **kwargs)
+        assert out.to_dict() == single.to_dict() == ref.to_dict()
+        assert ref.scale_events
+
 
 class TestSketchMode:
     def test_counting_stats_exact_percentiles_in_rank_band(self, fleet_inputs):
@@ -296,12 +343,15 @@ class TestPlanAndRefusals:
         with pytest.raises(ValueError, match="policy name"):
             _run(fleet_inputs, source, shards=2, policy=make_policy("p2c"))
 
-    def test_vector_core_refused(self, fleet_inputs):
+    def test_vector_epoch_refused(self, fleet_inputs):
+        """Epoch batches span models, so per-model shards would route
+        differently: refused before any worker starts."""
         table, models, workloads, allocation = fleet_inputs
-        with pytest.raises(ValueError, match="per-event core"):
+        with pytest.raises(ValueError, match="vector-epoch.*span"):
             run_fleet_sharded(
                 allocation, table, models, workloads,
-                _source(workloads), shards=2, sla_ms=SLA, core="vector",
+                _source(workloads), shards=2, sla_ms=SLA,
+                core="vector-epoch",
             )
 
     def test_bare_iterator_refused(self, fleet_inputs):
@@ -350,11 +400,17 @@ class TestSeedLanes:
 
 
 class TestForcedHorizon:
+    """``FleetSimulator.run(horizon_s=...)``'s rules on the python core;
+    :class:`TestForcedHorizonVector` reruns every test on the vector
+    core, which follows the same rules."""
+
+    core = "python"
+
     def _sim(self, fleet_inputs, **kwargs):
         table, models, workloads, allocation = fleet_inputs
         servers = build_fleet(allocation, table, models, workloads)
         return FleetSimulator(
-            servers, policy="rr", sla_ms=SLA, core="python", **kwargs
+            servers, policy="rr", sla_ms=SLA, core=self.core, **kwargs
         )
 
     def test_forcing_the_natural_horizon_changes_nothing(self, fleet_inputs):
@@ -383,3 +439,56 @@ class TestForcedHorizon:
         )
         with pytest.raises(ValueError, match="fault-free"):
             sim.run(source, warmup_s=0.05, horizon_s=2.0)
+
+    def test_empty_stream_is_an_idle_run(self, fleet_inputs):
+        """No arrivals under a forced horizon: every replica idles over
+        the whole window and the autoscaler ticks up to the horizon."""
+        sim = self._sim(
+            fleet_inputs,
+            autoscaler=ReactiveAutoscaler(SLA, window_s=0.2, cooldown_s=0.4),
+        )
+        result = sim.run([], warmup_s=0.05, horizon_s=1.0)
+        assert sim.last_tick_count == 4  # 0.2, 0.4, 0.6..., 0.8; not 1.0
+        assert result.total_completed == 0
+        assert result.duration_s == 1.0 - 0.05
+        assert sum(s.active_s for s in result.servers) > 0.0
+        assert result.avg_power_w > 0.0
+
+
+class TestForcedHorizonVector(TestForcedHorizon):
+    core = "vector"
+
+
+@pytest.mark.parametrize("autoscale", [None, "reactive", "predictive"])
+@pytest.mark.parametrize("extra", [0.0, 0.05, 0.37, "empty"])
+def test_forced_horizon_vector_matches_python(fleet_inputs, extra, autoscale):
+    """Vector == python under a forced horizon at, and past, the last
+    arrival -- and on an empty stream -- with and without a scaler."""
+    table, models, workloads, allocation = fleet_inputs
+    standby = Allocation()
+    standby.add("T2", "DLRM-RMC1", 2)
+    trace = list(_source(workloads, seed=6, duration=0.8))
+    if extra == "empty":
+        trace, horizon = [], 0.8
+    else:
+        horizon = max(q.arrival_s for _, q in trace) + extra
+
+    def run(core):
+        autoscaler = None
+        if autoscale == "reactive":
+            autoscaler = ReactiveAutoscaler(SLA, window_s=0.15, cooldown_s=0.3)
+        elif autoscale == "predictive":
+            autoscaler = PredictiveAutoscaler(SLA, window_s=0.15)
+        servers = build_fleet(
+            allocation, table, models, workloads, standby=standby
+        )
+        sim = FleetSimulator(
+            servers, policy="rr", sla_ms=SLA, autoscaler=autoscaler,
+            core=core,
+        )
+        return sim, sim.run(trace, warmup_s=0.05, horizon_s=horizon)
+
+    (py, base), (vec, out) = run("python"), run("vector")
+    assert out.to_dict() == base.to_dict()
+    assert vec.last_tick_count == py.last_tick_count
+    assert vec.last_event_count == py.last_event_count

@@ -294,11 +294,20 @@ class TestArrivalSpecGrammar:
             "mmpp:levels=1/2",  # missing dwell
             "sawtooth:level=1",
             "poisson:level=0.5+",
+            "poisson:level=nan",  # used to end in 'empty fleet trace'
+            "poisson:qps=inf",
+            "mmpp:levels=1/nan,dwell=1",
+            "mmpp:levels=1/2,dwell=-inf",
+            "diurnal:noise=NaN",
         ],
     )
     def test_invalid_specs_raise(self, spec):
         with pytest.raises(ValueError):
             parse_arrivals(spec)
+
+    def test_non_finite_number_names_the_key(self):
+        with pytest.raises(ValueError, match="level='nan'.*finite"):
+            parse_arrivals("poisson:level=nan")
 
     def test_duplicate_key_raises_not_last_wins(self):
         """``mmpp:dwell=1,dwell=2`` used to silently keep the last
