@@ -241,6 +241,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -914,7 +921,7 @@ def _add_fleet_shared_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="worker processes for offline profiling (0 = all CPUs)",
     )
@@ -977,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="worker processes for the pair fan-out (0 = all CPUs)",
     )
@@ -1373,7 +1380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative_int,
         default=1,
         help="worker processes for the profiling scenario (0 = all CPUs)",
     )

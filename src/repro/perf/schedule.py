@@ -115,8 +115,8 @@ def list_schedule(
 
 
 def list_makespan(
-    topo: "Sequence[tuple[str, tuple[str, ...]]]",
-    latencies: dict[str, float],
+    deps: Sequence[tuple[int, ...]],
+    latencies: Sequence[float],
     workers: int,
 ) -> tuple[float, float]:
     """Makespan and busy-seconds of the greedy list schedule, nothing else.
@@ -125,12 +125,15 @@ def list_makespan(
     of candidate shares, re-scheduling the same graph each time; this
     fast path performs the identical float operations as
     :func:`list_schedule` (same dispatch order, same running max/sum)
-    without materializing per-node :class:`NodeSchedule` records.
+    on index-addressed nodes, without name lookups or per-node
+    :class:`NodeSchedule` records.
 
     Args:
-        topo: ``(name, deps)`` pairs in topological order (e.g. from
-            ``[(n.name, n.deps) for n in graph.topological_order()]``).
-        latencies: Per-node execution time in seconds.
+        deps: Per node in topological order, the indices of the nodes
+            it depends on (e.g. from
+            ``[tuple(index[d] for d in n.deps) for n in graph]``).
+        latencies: Per-node execution time in seconds (non-negative),
+            in the same order.
         workers: Number of parallel operator workers (>= 1).
 
     Returns:
@@ -138,20 +141,34 @@ def list_makespan(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    worker_free = [(0.0, w) for w in range(workers)]
-    heapq.heapify(worker_free)
-    finish: dict[str, float] = {}
+    if workers == 1:
+        # One worker runs the nodes back to back.  Latencies are
+        # non-negative, so finish times never decrease and every
+        # dependency is done by the time the worker frees up: the
+        # schedule's start is always the previous end.
+        end = 0.0
+        busy = 0.0
+        for latency in latencies:
+            start = end
+            end = start + latency
+            busy += end - start
+        return end, busy
+    # Only the multiset of worker free times matters for the floats
+    # (which equally-free worker a node lands on does not), so the heap
+    # holds bare times and ``heapreplace`` dispatches in one step.
+    # ``f if f > r else r`` is ``max(r, f)`` without the call.
+    worker_free = [0.0] * workers
+    finish: list[float] = []
     makespan = 0.0
     busy = 0.0
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    for name, deps in topo:
-        ready_at = max((finish[d] for d in deps), default=0.0)
-        free_at, worker = heappop(worker_free)
-        start = max(ready_at, free_at)
-        end = start + latencies[name]
-        finish[name] = end
-        heappush(worker_free, (end, worker))
+    heapreplace = heapq.heapreplace
+    for latency, node_deps in zip(latencies, deps):
+        ready_at = max(map(finish.__getitem__, node_deps)) if node_deps else 0.0
+        free_at = worker_free[0]
+        start = free_at if free_at > ready_at else ready_at
+        end = start + latency
+        finish.append(end)
+        heapreplace(worker_free, end)
         if end > makespan:
             makespan = end
         busy += end - start

@@ -259,7 +259,31 @@ def _scenario_profile_table(ctx: _Context) -> dict[str, Any]:
         "pairs_per_s": pairs / wall if wall > 0 else 0.0,
         "feasible_pairs": sum(1 for t in table.entries.values() if t.feasible),
         "jobs": ctx.jobs,
+        "table_digest": _table_digest(table),
     }
+
+
+def _table_digest(table) -> str:
+    """SHA-256 over the table's sorted rows, floats in hex.
+
+    Two documents with equal digests profiled the same table bit for
+    bit, so a profiling speedup can be told apart from a change of
+    result.
+    """
+    import hashlib
+
+    rows = sorted(
+        (
+            t.server_name,
+            t.model_name,
+            float(t.qps).hex(),
+            float(t.power_w).hex(),
+            t.plan.describe() if t.plan is not None else "infeasible",
+            t.evaluations,
+        )
+        for t in table.entries.values()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def _scenario_loadgen(ctx: _Context) -> dict[str, Any]:
@@ -1400,6 +1424,13 @@ def compare_bench(
         else:
             d_txt = "     --"
         lines.append(f"  {name:<26} {o_txt:>10} {n_txt:>10} {d_txt:>8}")
+    old_digest = old_sc.get("profile_table", {}).get("table_digest")
+    new_digest = new_sc.get("profile_table", {}).get("table_digest")
+    if old_digest and new_digest and old_digest != new_digest:
+        lines.append(
+            "  profile_table: table changed (table_digest "
+            f"{old_digest[:12]} -> {new_digest[:12]}; not gated)"
+        )
     lines.append("")
     lines.append(
         f"  {'gate':<58} {'old':>8} {'new':>8}  verdict"

@@ -194,7 +194,7 @@ class OfflineProfiler:
             workloads: Optional per-model workload overrides.
             jobs: Worker processes for the fan-out.  ``1`` (default)
                 profiles serially in-process; ``0``/``None`` uses every
-                CPU.  Parallel granularity is one server type per task,
+                CPU; a negative count raises ``ValueError``.  Parallel granularity is one server type per task,
                 so each worker shares its evaluator (and NMP LUT)
                 across that server's models exactly like the serial
                 path.  The table is identical to a serial run -- each
@@ -202,6 +202,10 @@ class OfflineProfiler:
                 in server-major order.  Requires picklable models and
                 factories (the defaults are).
         """
+        if jobs is not None and jobs < 0:
+            raise ValueError(
+                f"jobs must be >= 0 (0 = every CPU, 1 = serial), got {jobs}"
+            )
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         table = ClassificationTable()
@@ -217,7 +221,7 @@ class OfflineProfiler:
         # Shared cache warm-up: prime the module state fork-started
         # workers inherit -- the scipy import and the lru-cached
         # log-normal percentile table behind ``tail_size`` (the
-        # latency-bounded bisection's per-probe sizes) -- so each
+        # latency-bounded search's percentile sizes) -- so each
         # worker starts hot instead of re-deriving them per process.
         for model in models:
             workload = (workloads or {}).get(model.name) or QueryWorkload.for_model(

@@ -197,8 +197,11 @@ class ServerEvaluator:
         self.sparse_transfer_efficiency = sparse_transfer_efficiency
         self.timings_cache = PlanTimingsCache()
         # Per-(graph, items) hoisted op components for the contention
-        # fixpoint; id-keyed with pinning (process-local by design).
+        # fixpoint, and per-(graph, items, workers, threads, mem_scale)
+        # fixpoint results; id-keyed with pinning (process-local by
+        # design).
         self._graph_profiles: dict[tuple, tuple] = {}
+        self._graph_timings: dict[tuple, tuple[float, float, float]] = {}
         self._pinned_graphs: dict[int, Graph] = {}
 
     # ------------------------------------------------------------------
@@ -288,37 +291,47 @@ class ServerEvaluator:
         if not math.isfinite(capacity_qps) or capacity_qps <= 0:
             return ServerPerformance.infeasible("plan has no capacity")
 
-        def feasible(qps: float) -> ServerPerformance | None:
-            perf = self.perf_at(timings, workload, qps, power_budget_w)
-            if perf.feasible and perf.latency.p99_ms <= sla_ms:
-                return perf
-            return None
+        # Each probe only needs the verdict, so it computes just what
+        # decides it -- rho, the p99 latency and (under a budget) the
+        # power -- with perf_at's arithmetic; the winning rate goes
+        # through perf_at once at the end.
+        p99_span_s = self._span_s(timings, workload.tail_size(99.0))
+
+        def feasible(qps: float) -> bool:
+            arrival_items, rho, wait_mean, fill_s = self._queue_terms(
+                timings, workload, qps
+            )
+            if rho >= _MAX_RHO:
+                return False
+            p99_ms = (_P99_WAIT_FACTOR * wait_mean + fill_s + p99_span_s) * 1e3
+            if not p99_ms <= sla_ms:
+                return False
+            return (
+                power_budget_w is None
+                or self._power(timings, arrival_items)[0] <= power_budget_w
+            )
 
         # Find a feasible anchor scanning down from capacity, then
         # bisect between it and the lowest infeasible rate above it.
         fractions = (0.98, 0.95, 0.9, 0.8, 0.65, 0.5, 0.35, 0.2, 0.1, 0.05, 0.02)
-        best: ServerPerformance | None = None
         hi = capacity_qps
         for frac in fractions:
             qps = capacity_qps * frac
-            perf = feasible(qps)
-            if perf is not None:
-                best = perf
+            if feasible(qps):
                 break
             hi = qps
-        if best is None:
+        else:
             return ServerPerformance.infeasible(
                 f"SLA {sla_ms} ms unreachable at any load"
             )
-        lo = best.qps
+        lo = qps
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            perf = feasible(mid)
-            if perf is not None:
-                best, lo = perf, mid
+            if feasible(mid):
+                lo = mid
             else:
                 hi = mid
-        return best
+        return self.perf_at(timings, workload, lo, power_budget_w)
 
     # ------------------------------------------------------------------
     # queueing + power
@@ -334,64 +347,28 @@ class ServerEvaluator:
         """Queueing-model performance at a given arrival rate."""
         if arrival_qps <= 0:
             raise ValueError("arrival rate must be positive")
-        arrival_items = arrival_qps * workload.mean_size
-        rho = arrival_items / timings.capacity_items_s
+        arrival_items, rho, wait_mean, fill_s = self._queue_terms(
+            timings, workload, arrival_qps
+        )
         if rho >= _MAX_RHO:
             return ServerPerformance.infeasible(
                 f"overloaded: rho={rho:.3f} at {arrival_qps:.1f} qps"
             )
 
-        bottleneck = timings.bottleneck
-        wait_mean = (
-            (timings.bulk_mean / 2.0)
-            * rho
-            / (bottleneck.units * (1.0 - rho))
-            * bottleneck.batch_s
-        )
-        fill_s = (
-            timings.fill_items / arrival_items if timings.fill_items > 0 else 0.0
-        )
-
-        # Spans are memoized per (timings, size): the latency-bounded
-        # bisection re-evaluates the same four percentile sizes for
-        # every probed rate.  Inlined dict probes on the per-instance
-        # span table -- this is the innermost loop of the whole
-        # offline profiling pass.
-        spans = timings.span_cache()
         tail_size = workload.tail_size
-        sizes = (tail_size(50.0), tail_size(95.0), tail_size(99.0),
-                 int(workload.mean_size))
-        vals = []
-        for size in sizes:
-            span = spans.get(size)
-            if span is None:
-                span = timings.service_span_s(size)
-                spans[size] = span
-            vals.append(span)
+        p50_s, p95_s, p99_s, mean_s = (
+            self._span_s(timings, size)
+            for size in (tail_size(50.0), tail_size(95.0), tail_size(99.0),
+                         int(workload.mean_size))
+        )
         latency = LatencyStats(
-            p50_ms=(wait_mean + fill_s + vals[0]) * 1e3,
-            p95_ms=(_P95_WAIT_FACTOR * wait_mean + fill_s + vals[1]) * 1e3,
-            p99_ms=(_P99_WAIT_FACTOR * wait_mean + fill_s + vals[2]) * 1e3,
-            mean_ms=(wait_mean + fill_s + vals[3]) * 1e3,
+            p50_ms=(wait_mean + fill_s + p50_s) * 1e3,
+            p95_ms=(_P95_WAIT_FACTOR * wait_mean + fill_s + p95_s) * 1e3,
+            p99_ms=(_P99_WAIT_FACTOR * wait_mean + fill_s + p99_s) * 1e3,
+            mean_ms=(wait_mean + fill_s + mean_s) * 1e3,
         )
 
-        cpu_util = min(
-            1.0, arrival_items * timings.cpu_core_s_per_item / self.server.cpu.cores
-        )
-        gpu_util = min(1.0, arrival_items * timings.gpu_busy_s_per_item)
-        mem_util = min(
-            1.0,
-            arrival_items
-            * timings.mem_bytes_per_item
-            / self.server.memory.peak_bw_bytes,
-        )
-        power = self.server.power_w(
-            ComponentUtilization(
-                cpu=cpu_util,
-                memory=mem_util,
-                gpu=gpu_util * timings.gpu_power_util_scale,
-            )
-        )
+        power, cpu_util, gpu_util, mem_util = self._power(timings, arrival_items)
         if power_budget_w is not None and power > power_budget_w:
             return ServerPerformance.infeasible(
                 f"power {power:.0f} W exceeds budget {power_budget_w:.0f} W",
@@ -421,6 +398,72 @@ class ServerEvaluator:
             breakdown=breakdown,
         )
 
+    @staticmethod
+    def _queue_terms(
+        timings: PlanTimings, workload: QueryWorkload, arrival_qps: float
+    ) -> tuple[float, float, float, float]:
+        """``(arrival_items, rho, wait_mean_s, fill_s)`` at one rate.
+
+        The queueing arithmetic shared by :meth:`perf_at` and the
+        latency-bounded probe, so both see the same floats.  At or past
+        the utilization ceiling the wait is unbounded and is returned
+        as ``inf``.
+        """
+        arrival_items = arrival_qps * workload.mean_size
+        rho = arrival_items / timings.capacity_items_s
+        if rho >= _MAX_RHO:
+            return arrival_items, rho, math.inf, math.inf
+        bottleneck = timings.bottleneck
+        wait_mean = (
+            (timings.bulk_mean / 2.0)
+            * rho
+            / (bottleneck.units * (1.0 - rho))
+            * bottleneck.batch_s
+        )
+        fill_s = (
+            timings.fill_items / arrival_items if timings.fill_items > 0 else 0.0
+        )
+        return arrival_items, rho, wait_mean, fill_s
+
+    def _power(
+        self, timings: PlanTimings, arrival_items: float
+    ) -> tuple[float, float, float, float]:
+        """``(power_w, cpu_util, gpu_util, mem_util)`` at an item rate."""
+        cpu_util = min(
+            1.0, arrival_items * timings.cpu_core_s_per_item / self.server.cpu.cores
+        )
+        gpu_util = min(1.0, arrival_items * timings.gpu_busy_s_per_item)
+        mem_util = min(
+            1.0,
+            arrival_items
+            * timings.mem_bytes_per_item
+            / self.server.memory.peak_bw_bytes,
+        )
+        power = self.server.power_w(
+            ComponentUtilization(
+                cpu=cpu_util,
+                memory=mem_util,
+                gpu=gpu_util * timings.gpu_power_util_scale,
+            )
+        )
+        return power, cpu_util, gpu_util, mem_util
+
+    @staticmethod
+    def _span_s(timings: PlanTimings, size: int) -> float:
+        """Memoized service span of one query size on these timings.
+
+        Spans are a pure function of (timings, size); the table lives
+        on the timings instance, so the latency-bounded probe's p99
+        span and perf_at's four percentile spans are computed once per
+        plan.
+        """
+        spans = timings.span_cache()
+        span = spans.get(size)
+        if span is None:
+            span = timings.service_span_s(size)
+            spans[size] = span
+        return span
+
     # ------------------------------------------------------------------
     # placement-specific timing models
     # ------------------------------------------------------------------
@@ -428,14 +471,16 @@ class ServerEvaluator:
     def _graph_profile(self, graph: Graph, items: int) -> tuple:
         """Hoisted per-(graph, items) inputs of the contention fixpoint.
 
-        Per node: name, dispatch overhead, compute seconds, sparse
-        flag, and the bandwidth-share-dependent memory term -- either
-        the NMP LUT latency (divided by the share later) or
-        ``(mem_bytes, base_bw)`` for the roofline path.  These are
+        Per node, in topological order: dispatch overhead, compute
+        seconds, sparse flag, and the bandwidth-share-dependent memory
+        term -- either the NMP LUT latency (divided by the share later)
+        or ``(mem_bytes, base_bw)`` for the roofline path.  These are
         exactly the values :meth:`CpuOpModel.op_timing` derives before
         applying ``bw_fraction``; hoisting them keeps the bisection's
         per-share work to one multiply/divide per node.  Also returns
-        the ``(name, deps)`` topology for the makespan fast path.
+        the topology as per-node tuples of dependency indices (the
+        :func:`list_makespan` input), the graph's total memory bytes
+        and the NMP-eligible share of them.
 
         Keyed by object identity (graphs are long-lived partition
         members, pinned here); this cache never crosses processes.
@@ -448,8 +493,9 @@ class ServerEvaluator:
         nmp_ok = self.server.memory.is_nmp
         gather_bw = self.server.memory.gather_bw_bytes
         peak_bw = self.server.memory.peak_bw_bytes
+        order = graph.topological_order()
         nodes = []
-        for node in graph:
+        for node in order:
             op = node.op
             is_sparse = op.kind.is_sparse
             if is_sparse and nmp_ok and cpu_model._nmp_eligible(op):
@@ -457,18 +503,24 @@ class ServerEvaluator:
                 # latency scaled by 1/share.
                 assert cpu_model.nmp_lut is not None
                 nodes.append(
-                    (node.name, CPU_DISPATCH_OVERHEAD_S, 0.0, True,
+                    (CPU_DISPATCH_OVERHEAD_S, 0.0, True,
                      cpu_model.nmp_lut.latency_s(op, items), None)
                 )
             else:
                 timing = cpu_model.op_timing(op, items, 1.0)
                 bw = gather_bw if is_sparse else peak_bw
                 nodes.append(
-                    (node.name, timing.overhead_s, timing.compute_s,
+                    (timing.overhead_s, timing.compute_s,
                      is_sparse, op.mem_bytes(items), bw)
                 )
-        topo = tuple((n.name, n.deps) for n in graph.topological_order())
-        profile = (tuple(nodes), topo)
+        index = {node.name: i for i, node in enumerate(order)}
+        deps = tuple(tuple(index[d] for d in node.deps) for node in order)
+        nmp_bytes = 0.0
+        if nmp_ok:
+            nmp_bytes = sum(
+                n.op.mem_bytes(items) for n in graph if cpu_model._nmp_eligible(n.op)
+            )
+        profile = (tuple(nodes), deps, graph.total_mem_bytes(items), nmp_bytes)
         self._graph_profiles[key] = profile
         self._pinned_graphs[id(graph)] = graph
         return profile
@@ -486,41 +538,54 @@ class ServerEvaluator:
         Applies a two-pass interference fixpoint: timings are computed
         contention-free, aggregate bandwidth demand is derived, and the
         memory components are rescaled by the resulting share.
-        """
-        node_profile, topo = self._graph_profile(graph, items)
 
-        def timings(bw_fraction: float) -> dict[str, float]:
+        Memoized per ``(graph, items, workers, co_located_threads,
+        mem_scale)``: the gradient search re-times the same sub-graph
+        configuration across many candidate plans.
+        """
+        key = (id(graph), items, workers, co_located_threads, mem_scale)
+        cached = self._graph_timings.get(key)
+        if cached is not None:
+            return cached
+        node_profile, deps, total_mem_bytes, nmp_total = self._graph_profile(
+            graph, items
+        )
+
+        # The compute side does not depend on the share: scale it once.
+        rows = tuple(
+            (overhead, compute_s * mem_scale if is_sparse else compute_s,
+             mem_term, bw)
+            for overhead, compute_s, is_sparse, mem_term, bw in node_profile
+        )
+
+        def timings(bw_fraction: float) -> list[float]:
             # Bit-identical to per-node ``op_timing(op, items, f)``:
             # the roofline memory term is mem_bytes / (bw * f) and the
             # NMP term is lut_latency / f, with the same operation
-            # order as the un-hoisted code.
-            out = {}
-            for name, overhead, compute_s, is_sparse, mem_term, bw in node_profile:
+            # order as the un-hoisted code.  ``m if m > c else c`` is
+            # ``max(c, m)`` without the call.
+            out = []
+            for overhead, scaled_compute, mem_term, bw in rows:
                 if bw is None:
                     memory_s = mem_term / bw_fraction
                 else:
                     memory_s = mem_term / (bw * bw_fraction)
                 scaled_mem = memory_s * mem_scale
-                scaled_compute = compute_s * mem_scale if is_sparse else compute_s
-                out[name] = overhead + max(scaled_compute, scaled_mem)
+                out.append(
+                    overhead
+                    + (scaled_mem if scaled_mem > scaled_compute else scaled_compute)
+                )
             return out
 
-        mem_bytes = graph.total_mem_bytes(items) * mem_scale
+        mem_bytes = total_mem_bytes * mem_scale
         nmp_bytes = 0.0
         if self.server.memory.is_nmp:
-            nmp_bytes = (
-                sum(
-                    n.op.mem_bytes(items)
-                    for n in graph
-                    if self.cpu_model._nmp_eligible(n.op)
-                )
-                * mem_scale
-            )
+            nmp_bytes = nmp_total * mem_scale
         host_bytes = mem_bytes - nmp_bytes
         inflation = self.interference.llc_inflation(co_located_threads)
 
         def span_at(f: float) -> float:
-            return list_makespan(topo, timings(f), workers)[0]
+            return list_makespan(deps, timings(f), workers)[0]
 
         def saturating_share(pool_bytes: float, peak: float, f_max: float) -> float:
             """The share at which this pool's achieved bandwidth hits peak.
@@ -562,8 +627,10 @@ class ServerEvaluator:
                 nmp_bytes, self.server.memory.nmp_gather_reduce_bw_bytes, f_max
             ),
         )
-        makespan, busy = list_makespan(topo, timings(effective), workers)
-        return makespan, busy, mem_bytes
+        makespan, busy = list_makespan(deps, timings(effective), workers)
+        result = (makespan, busy, mem_bytes)
+        self._graph_timings[key] = result
+        return result
 
     def _cpu_model_based(
         self,

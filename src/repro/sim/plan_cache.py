@@ -24,9 +24,10 @@ Three layers live here:
   builder and the cluster provisioner so that fifty replicas of
   (T2, DLRM-RMC1, plan) cost one evaluation, not fifty.
 - Quantized span memos -- ``span_for`` caches
-  :meth:`PlanTimings.service_span_s` per (timings, query size); the
-  latency-bounded bisection hits the same four percentile sizes dozens
-  of times per candidate plan.
+  :meth:`PlanTimings.service_span_s` per (timings, query size) in the
+  table the evaluator fills too: the latency-bounded probe reads the
+  p99 span once per candidate plan, and ``perf_at`` the four
+  percentile spans of the winning rate.
 
 ``clear_shared_caches()`` resets everything (tests use it to measure
 hit rates deterministically).
@@ -290,12 +291,12 @@ def serviced_stages_for(
 def span_for(timings: "PlanTimings", query_size: int) -> float:
     """Memoized :meth:`PlanTimings.service_span_s`.
 
-    The latency-bounded bisection evaluates the span of the same four
-    percentile sizes for every probed arrival rate; quantizing on
-    (timings, size) turns ~35 ceil-loops per candidate into dict hits.
-    The table lives on the timings instance (int keys, no re-hash of
-    the stage tuple), so it is shared with the evaluator's inlined hot
-    path and garbage-collects with the timings object.
+    Every ``perf_at`` on the same timings reads the spans of the same
+    four percentile sizes; quantizing on (timings, size) turns them
+    into dict hits.  The table lives on the timings instance (int keys,
+    no re-hash of the stage tuple), so it is shared with the
+    evaluator's own span lookups and garbage-collects with the timings
+    object.
     """
     cache = timings.span_cache()
     span = cache.get(query_size)

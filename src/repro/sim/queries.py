@@ -175,9 +175,9 @@ class QueryWorkload:
     def tail_size(self, p: float = 99.0) -> int:
         """Query size at the ``p``-th percentile (the SLA-binding size).
 
-        Memoized per workload instance: the latency-bounded bisection
-        asks for the same three percentiles hundreds of thousands of
-        times per profiling pass.  (Lazily attached via
+        Memoized per workload instance: the latency-bounded search
+        asks for the same percentiles for every candidate plan of a
+        profiling pass.  (Lazily attached via
         ``object.__setattr__`` -- not a dataclass field, so equality,
         hashing, and pickling are unaffected.)
         """

@@ -98,6 +98,20 @@ class TestCompareBench:
         )
         assert "different modes" in text
 
+    def test_table_change_reported_but_not_gated(self):
+        old, new = _passing_scenarios(), _passing_scenarios()
+        old["profile_table"] = {"wall_s": 1.0, "table_digest": "a" * 64}
+        new["profile_table"] = {"wall_s": 1.0, "table_digest": "b" * 64}
+        text, regressed = compare_bench(_doc(**old), _doc(**new))
+        assert "table changed" in text
+        assert not regressed
+
+    def test_equal_table_digests_stay_quiet(self):
+        doc = _passing_scenarios()
+        doc["profile_table"] = {"wall_s": 1.0, "table_digest": "a" * 64}
+        text, _ = compare_bench(_doc(**doc), _doc(**doc))
+        assert "table changed" not in text
+
     def test_wall_table_in_registry_order(self):
         doc = _doc(**_passing_scenarios())
         text, _ = compare_bench(doc, doc)
@@ -137,3 +151,29 @@ class TestCompareCli:
         new = self._write(tmp_path, "new.json", _doc(**bad))
         assert main(["bench", "--compare", old, new]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestTableDigest:
+    def test_profile_table_scenario_records_the_table_digest(self, small_table):
+        """The quick scenario profiles the conftest slice (T2/T3/T7 x
+        RMC1/RMC2); its digest is the one of that table."""
+        from repro.perfbench import _table_digest, run_scenario
+
+        metrics = run_scenario("profile_table", quick=True)
+        digest = metrics["table_digest"]
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert digest == _table_digest(small_table)
+
+    def test_digest_sees_a_last_bit_change(self, small_table):
+        import dataclasses
+        import math
+
+        from repro.perfbench import _table_digest
+        from repro.scheduling import ClassificationTable
+
+        key, tup = next(iter(small_table.entries.items()))
+        nudged = ClassificationTable(dict(small_table.entries))
+        nudged.entries[key] = dataclasses.replace(
+            tup, qps=math.nextafter(tup.qps, math.inf)
+        )
+        assert _table_digest(nudged) != _table_digest(small_table)

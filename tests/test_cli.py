@@ -37,6 +37,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--policy", "fifo"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--jobs", "-2"],
+            ["fleet", "--servers", "6", "--duration", "1", "--jobs", "-1"],
+            ["provision-fault-aware", "--jobs", "-1"],
+            ["provision-carbon-aware", "--jobs", "-1"],
+            ["bench", "--jobs", "-1"],
+        ],
+    )
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 0" in capsys.readouterr().err
+
+    def test_zero_jobs_still_means_every_cpu(self):
+        assert build_parser().parse_args(["profile", "--jobs", "0"]).jobs == 0
+
+    def test_profiler_rejects_negative_jobs(self):
+        from repro.hardware import SERVER_TYPES
+        from repro.models import build_model
+        from repro.scheduling import OfflineProfiler
+
+        with pytest.raises(ValueError, match=r"jobs must be >= 0 .* got -1"):
+            OfflineProfiler().profile(
+                [SERVER_TYPES["T2"]], [build_model("DLRM-RMC1")], jobs=-1
+            )
+
 
 class TestCommands:
     def test_models_lists_zoo(self, capsys):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.models import build_model
 from repro.models.graph import Graph, Node
 from repro.models.ops import FullyConnected
 from repro.perf import list_schedule
+from repro.perf.schedule import list_makespan
 
 
 def _chain(n: int) -> Graph:
@@ -60,6 +61,41 @@ def test_makespan_bounds(workers, latencies):
     assert r.makespan_s >= total / workers - 1e-9  # work conservation
     assert r.makespan_s >= max(latencies) - 1e-9  # longest op
     assert r.busy_s == pytest.approx(total)
+
+
+@st.composite
+def _random_dags(draw):
+    """Random DAGs with dependencies: each node picks up to three
+    earlier nodes as inputs; latencies include zero."""
+    n = draw(st.integers(1, 14))
+    deps = [
+        tuple(sorted(draw(st.sets(st.integers(0, i - 1), max_size=3)))) if i else ()
+        for i in range(n)
+    ]
+    latencies = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    return deps, latencies
+
+
+@given(dag=_random_dags(), workers=st.integers(1, 8))
+@example(dag=([(), (), (0, 1), (0,)], [0.1, 0.2, 0.3, 0.7]), workers=2)
+def test_list_makespan_equals_list_schedule(dag, workers):
+    """The index-based fast path reproduces the full schedule's floats."""
+    deps, latencies = dag
+    g = Graph("dag")
+    for i, node_deps in enumerate(deps):
+        g.add(
+            Node(
+                op=FullyConnected(name=f"n{i}"),
+                deps=tuple(f"n{j}" for j in node_deps),
+            )
+        )
+    full = list_schedule(g, {f"n{i}": lat for i, lat in enumerate(latencies)}, workers)
+    assert list_makespan(deps, latencies, workers) == (full.makespan_s, full.busy_s)
+
+
+def test_list_makespan_rejects_zero_workers():
+    with pytest.raises(ValueError):
+        list_makespan(((),), [1.0], 0)
 
 
 def test_dependencies_respected():

@@ -85,6 +85,17 @@ class TestOfflineProfiler:
         e2 = profiler.evaluator(SERVER_TYPES["T2"])
         assert e1 is e2
 
+    def test_parallel_profile_equals_serial(self):
+        """``profile(jobs=2)`` fans server types out to worker processes;
+        the merged table must equal the serial one entry for entry,
+        in the same server-major order."""
+        servers = [SERVER_TYPES[s] for s in ("T2", "T3")]
+        models = [build_model(m) for m in ("DLRM-RMC1", "DLRM-RMC2")]
+        serial = OfflineProfiler().profile(servers, models, jobs=1)
+        parallel = OfflineProfiler().profile(servers, models, jobs=2)
+        assert parallel.entries == serial.entries
+        assert list(parallel.entries) == list(serial.entries)
+
     def test_small_table_covers_all_pairs(self, small_table):
         assert set(small_table.server_names) == {"T2", "T3", "T7"}
         assert set(small_table.model_names) == {"DLRM-RMC1", "DLRM-RMC2"}

@@ -264,3 +264,44 @@ class TestGpuPlacements:
             sla_ms=50.0,
         )
         assert fused.qps > 1.5 * no_fusion.qps
+
+
+class TestGraphTimingMemo:
+    """``_cpu_graph_timing`` memoizes the contention fixpoint per
+    (graph, items, workers, co-located threads, mem_scale)."""
+
+    @staticmethod
+    def fresh(graph, *args, **kwargs):
+        return ServerEvaluator(SERVER_TYPES["T3"])._cpu_graph_timing(
+            graph, *args, **kwargs
+        )
+
+    def test_second_call_returns_the_memoized_tuple(self, rmc1_partitioned):
+        evaluator = ServerEvaluator(SERVER_TYPES["T3"])
+        graph = rmc1_partitioned.sparse
+        first = evaluator._cpu_graph_timing(graph, 128, 2, 4)
+        assert evaluator._cpu_graph_timing(graph, 128, 2, 4) is first
+        assert first == self.fresh(graph, 128, 2, 4)
+
+    def test_mem_scale_and_threads_do_not_alias(self, rmc1_partitioned):
+        evaluator = ServerEvaluator(SERVER_TYPES["T3"])
+        graph = rmc1_partitioned.sparse
+        base = evaluator._cpu_graph_timing(graph, 128, 2, 4)
+        scaled = evaluator._cpu_graph_timing(graph, 128, 2, 4, mem_scale=0.5)
+        crowded = evaluator._cpu_graph_timing(graph, 128, 2, 16)
+        assert scaled != base and crowded != base and scaled != crowded
+        assert scaled == self.fresh(graph, 128, 2, 4, mem_scale=0.5)
+        assert crowded == self.fresh(graph, 128, 2, 16)
+        assert base == self.fresh(graph, 128, 2, 4)
+
+    def test_sd_ratio_shares_the_memo(self, rmc1):
+        from repro.scheduling.search import GradientSearch
+
+        evaluator = ServerEvaluator(SERVER_TYPES["T3"])
+        search = GradientSearch(evaluator, rmc1)
+        search._sd_ratio(2)
+        sparse = search.host_partition().sparse
+        entries = len(evaluator._graph_timings)
+        assert entries == 2  # the sparse and dense probe timings
+        evaluator._cpu_graph_timing(sparse, 128, 2, 2)
+        assert len(evaluator._graph_timings) == entries
