@@ -255,6 +255,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _spec(flag: str, build, *args):
+    """``build(*args)`` for a spec-grammar flag: its ``ValueError`` exits
+    with one ``FLAG: message`` line instead of a traceback."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SystemExit(f"{flag}: {exc}") from None
+
+
 def _distribute_fleet(total: int, types: list[str]) -> dict[str, int]:
     """Split ``total`` servers over types proportional to availability."""
     weights = {t: SERVER_AVAILABILITY[t] for t in types}
@@ -289,6 +298,12 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
             "--trace needs --peak-qps (the recorded file fixes the arrival "
             "rates, but provisioning still sizes the fleet from the peak)"
         )
+    # Parsed before the profile, so a bad spec fails fast.
+    spec = (
+        _spec("--arrivals", parse_arrivals, args.arrivals)
+        if getattr(args, "arrivals", None)
+        else None
+    )
     server_types = [SERVER_TYPES[s] for s in args.server_types]
     models = {name: build_model(name) for name in args.models}
     print(
@@ -318,11 +333,13 @@ def _fleet_inputs(args: argparse.Namespace, target_utilization: float):
     }
     if getattr(args, "trace", None):
         source = RecordedTrace(args.trace)
-    elif getattr(args, "arrivals", None):
-        spec = parse_arrivals(args.arrivals)
+    elif spec is not None:
         source = FleetArrivals(
             {
-                name: spec.build(workloads[name], peaks[name], args.duration)
+                name: _spec(
+                    "--arrivals", spec.build,
+                    workloads[name], peaks[name], args.duration,
+                )
                 for name in models
             },
             seed=args.seed,
@@ -383,14 +400,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if peak_allocation.has_shortfall:
         print("warning: fleet cannot cover the requested peak load", file=chatter)
 
-    faults = FaultSchedule.parse(args.faults) if args.faults else None
-    carbon = load_carbon(args.carbon) if args.carbon else None
+    faults = (
+        _spec("--faults", FaultSchedule.parse, args.faults) if args.faults else None
+    )
+    carbon = _spec("--carbon", load_carbon, args.carbon) if args.carbon else None
     deferrable_jobs = ()
     if args.deferrable:
         if carbon is None:
             raise SystemExit("--deferrable needs --carbon (jobs are "
                              "scheduled against the grid's intensity)")
-        deferrable_jobs = parse_deferrable(args.deferrable).build(span)
+        deferrable_jobs = _spec(
+            "--deferrable", lambda: parse_deferrable(args.deferrable).build(span)
+        )
     if carbon is None and (
         args.power_cap is not None or args.deferral_horizon is not None
     ):
@@ -535,7 +556,7 @@ def _cmd_provision_fault_aware(args: argparse.Namespace) -> int:
     trace = list(source)
     scheduler = HerculesClusterScheduler(table, fleet_counts)
     peak_loads = {m: t.peak_qps for m, t in traces.items()}
-    faults = FaultSchedule.parse(args.faults)
+    faults = _spec("--faults", FaultSchedule.parse, args.faults)
     chatter = sys.stderr if args.json else sys.stdout
     if faults.is_empty:
         print(
@@ -652,9 +673,11 @@ def _cmd_provision_carbon_aware(args: argparse.Namespace) -> int:
     trace = list(source)
     scheduler = HerculesClusterScheduler(table, fleet_counts)
     peak_loads = {m: t.peak_qps for m, t in traces.items()}
-    carbon = load_carbon(args.carbon)
+    carbon = _spec("--carbon", load_carbon, args.carbon)
     jobs = (
-        parse_deferrable(args.deferrable).build(span)
+        _spec(
+            "--deferrable", lambda: parse_deferrable(args.deferrable).build(span)
+        )
         if args.deferrable
         else ()
     )

@@ -823,6 +823,12 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     materialized wall) is the number CI's perf-smoke job bounds at
     < 1.1, and the two replays must agree float-for-float -- a
     built-in differential smoke check of the lazy pull.
+
+    A second, ungated pair of legs replays the same traffic with
+    round-robin routing on the vector core, which reads the source's
+    column batches (``wall_vector_s``) or the materialized list's rows
+    (``wall_vector_materialized_s``); both must equal the python core
+    on per-model stats and event counts.
     """
     from repro.fleet import FleetSimulator
 
@@ -830,26 +836,49 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
     if stream is None:  # pre-traces checkout (baseline measurements)
         return {"skipped": "traces subsystem absent"}
 
-    def replay(make_source):
+    def replay(make_source, runs=2, **kwargs):
         # Best of two runs: the ratio feeds a CI gate, so single-sample
         # scheduler noise must not flake it.
         walls, result = [], None
-        for _ in range(2):
-            sim = FleetSimulator(
-                make_servers(), policy="p2c", sla_ms=sla, seed=ctx.seed
-            )
+        for _ in range(runs):
+            try:
+                sim = FleetSimulator(
+                    make_servers(), sla_ms=sla, seed=ctx.seed, **kwargs
+                )
+            except TypeError:  # pre-core checkout (baseline measurements)
+                return None, None
             wall, result = _timed(
                 lambda: sim.run(make_source(), warmup_s=duration * 0.1)
             )
             walls.append(wall)
         return min(walls), result
 
-    wall_mat, result_mat = replay(lambda: list(stream))
-    wall_stream, result_stream = replay(lambda: stream)
+    wall_mat, result_mat = replay(lambda: list(stream), policy="p2c")
+    wall_stream, result_stream = replay(lambda: stream, policy="p2c")
     if result_stream.per_model != result_mat.per_model:
         raise AssertionError(
             "streamed arrivals diverged from the materialized trace"
         )
+
+    vector: dict[str, Any] = {}
+    _, result_py = replay(lambda: stream, runs=1, policy="rr", core="python")
+    if result_py is not None:
+        wall_vec_mat, result_vec_mat = replay(
+            lambda: list(stream), policy="rr", core="vector"
+        )
+        wall_vec, result_vec = replay(lambda: stream, policy="rr", core="vector")
+        for result in (result_vec, result_vec_mat):
+            if (result.per_model, result.events) != (
+                result_py.per_model, result_py.events
+            ):
+                raise AssertionError(
+                    "vector-core replay of the stream diverged from the "
+                    "python core"
+                )
+        vector = {
+            "wall_vector_s": wall_vec,
+            "wall_vector_materialized_s": wall_vec_mat,
+        }
 
     events = getattr(result_stream, "events", None)
     return {
@@ -858,6 +887,7 @@ def _scenario_fleet_replay_streaming(ctx: _Context) -> dict[str, Any]:
         "ratio_vs_materialized": (
             wall_stream / wall_mat if wall_mat > 0 else None
         ),
+        **vector,
         "queries": len(trace),
         "queries_per_s": len(trace) / wall_stream if wall_stream > 0 else 0.0,
         "events": events,

@@ -482,25 +482,20 @@ def _ingest(sim, trace, horizon_s):
     sorted order, then unknown models in first-arrival order), and
     ``horizon`` is the forced ``horizon_s`` or else the last arrival --
     the python light loop's rules, errors included.
+
+    A source with ``stream_batches`` (:class:`~repro.traces.FleetArrivals`)
+    is read as its merged column batches, with no per-query object;
+    every other source is read row by row.
     """
     is_list = isinstance(trace, (list, tuple))
-    pairs = list(trace)
-    n = len(pairs)
+    codes = {m: i for i, m in enumerate(sorted(sim._routable))}
+    if hasattr(trace, "stream_batches"):
+        arr_t, arr_size, arr_pool, arr_m = _ingest_batches(trace, codes)
+    else:
+        arr_t, arr_size, arr_pool, arr_m = _ingest_rows(trace, codes)
+    n = len(arr_t)
     if not n and horizon_s is None:
         raise ValueError("empty fleet trace")
-    arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
-    arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
-    arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
-    codes = {m: i for i, m in enumerate(sorted(sim._routable))}
-    try:
-        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
-    except KeyError:
-        # Rare: the trace names models with no replica anywhere.  They
-        # surface as dropped streams, coded in first-arrival order.
-        for m, _ in pairs:
-            if m not in codes:
-                codes[m] = len(codes)
-        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
     if n > 1:
         deltas = np.diff(arr_t)
         if bool((deltas < 0.0).any()):
@@ -528,6 +523,47 @@ def _ingest(sim, trace, horizon_s):
             )
         horizon = horizon_s
     return (arr_t, arr_size, arr_pool, arr_m, model_names, codes), horizon
+
+
+def _ingest_rows(trace, codes: dict):
+    """``(model, Query)`` rows as unsorted columns; extends ``codes``."""
+    pairs = list(trace)
+    n = len(pairs)
+    arr_t = np.fromiter((q[1] for _, q in pairs), np.float64, count=n)
+    arr_size = np.fromiter((q[2] for _, q in pairs), np.int64, count=n)
+    arr_pool = np.fromiter((q[3] for _, q in pairs), np.float64, count=n)
+    try:
+        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
+    except KeyError:
+        # Rare: the trace names models with no replica anywhere.  They
+        # surface as dropped streams, coded in first-arrival order.
+        for m, _ in pairs:
+            if m not in codes:
+                codes[m] = len(codes)
+        arr_m = np.fromiter((codes[m] for m, _ in pairs), np.int64, count=n)
+    return arr_t, arr_size, arr_pool, arr_m
+
+
+def _ingest_batches(trace, codes: dict):
+    """A batch source's merged columns; extends ``codes`` as
+    :func:`_ingest_rows` would (unknown models in first-arrival order)."""
+    batches = list(trace.stream_batches())
+    if batches:
+        arr_t, arr_size, arr_pool, arr_src = (
+            np.concatenate(col) for col in zip(*batches)
+        )
+    else:
+        arr_t = np.empty(0, np.float64)
+        arr_pool = np.empty(0, np.float64)
+        arr_size = arr_src = np.empty(0, np.int64)
+    del batches
+    names = list(trace.processes)
+    if any(m not in codes for m in names):
+        present, first = np.unique(arr_src, return_index=True)
+        for src in present[np.argsort(first)].tolist():
+            codes.setdefault(names[src], len(codes))
+    remap = np.array([codes.get(m, -1) for m in names], dtype=np.int64)
+    return arr_t, arr_size, arr_pool, remap[arr_src]
 
 
 def _settle_drained(pending_settles: dict, cut: float = float("inf")) -> None:

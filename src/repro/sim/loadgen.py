@@ -42,16 +42,12 @@ def generate_trace(
     # Imported here, not at module scope: repro.traces.arrivals imports
     # repro.sim.queries, which runs repro.sim's __init__ (and so this
     # module) first.
-    from repro.traces.arrivals import poisson_segment
+    from repro.traces.arrivals import batch_rows, poisson_segment
 
-    return poisson_segment(
-        workload,
-        arrival_rate_qps,
-        duration_s,
-        seed=seed,
-        start_s=start_s,
-        first_id=first_id,
+    batch = poisson_segment(
+        workload, arrival_rate_qps, duration_s, seed=seed, start_s=start_s
     )
+    return list(batch_rows(batch, first_id))
 
 
 @dataclass
@@ -75,16 +71,16 @@ class PoissonLoadGenerator:
 
     def next_segment(self, arrival_rate_qps: float, duration_s: float) -> list[Query]:
         """Generate the next contiguous segment of the trace."""
-        from repro.traces.arrivals import poisson_segment
+        from repro.traces.arrivals import batch_rows, poisson_segment
 
-        queries = poisson_segment(
+        batch = poisson_segment(
             self.workload,
             arrival_rate_qps,
             duration_s,
             seed=self.seed + self._segment,
             start_s=self._clock_s,
-            first_id=self._next_id,
         )
+        queries = list(batch_rows(batch, self._next_id))
         self._segment += 1
         self._clock_s += duration_s
         self._next_id += len(queries)

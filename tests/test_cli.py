@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -394,9 +399,9 @@ class TestCarbonCLI:
         assert "gCO2" in capsys.readouterr().out
 
     def test_fleet_bad_carbon_spec_fails(self):
-        # Grammar errors surface as ValueError with the offending
-        # shape named, matching the --faults mini-language convention.
-        with pytest.raises(ValueError, match="unknown carbon shape"):
+        # Grammar errors exit with the flag and the offending shape
+        # named, matching the --faults mini-language convention.
+        with pytest.raises(SystemExit, match="--carbon: unknown carbon shape"):
             main([*self.FLEET, "--carbon", "sawtooth:x=1"])
 
     def test_provision_carbon_aware_json(self, capsys):
@@ -514,3 +519,42 @@ class TestShardsCLI:
             [*self.FLEET, "--core", "vector", "--shards", "2", "--json"]
         ) == 0
         assert json.loads(capsys.readouterr().out) == single
+
+
+class TestSpecErrors:
+    """A bad spec-grammar flag ends the process with one ``--flag:
+    message`` line: exit code 1, no traceback."""
+
+    FLEET = [
+        "fleet", "--servers", "2", "--server-types", "T2",
+        "--models", "DLRM-RMC1", "--duration", "1", "--segments", "4",
+    ]
+
+    @staticmethod
+    def _cli(argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--arrivals", "bogus", "unknown arrival shape 'bogus'"),
+            ("--arrivals", "poisson:level=-1", "arrival rate must be positive"),
+            ("--arrivals", "diurnal:level=1e9", "diurnal peak step expects"),
+            ("--faults", "bogus", "bad fault entry 'bogus'"),
+            ("--carbon", "bogus", "unknown carbon shape 'bogus'"),
+        ],
+    )
+    def test_bad_spec_exits_with_one_line(self, flag, value, message):
+        proc = self._cli([*self.FLEET, flag, value])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith(f"{flag}: ") and message in last

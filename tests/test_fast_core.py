@@ -627,3 +627,193 @@ def test_vector_unsorted_list_sorted_like_python(small_table, two_model_inputs):
         small_table, two_model_inputs, _mixed_allocation(), rotated, "vector"
     )
     _assert_identical(vec, base)
+
+
+# ----------------------------------------------------------------------
+# Columnar ingest: a FleetArrivals source is read as column batches
+# ----------------------------------------------------------------------
+
+
+def _two_model_allocation():
+    allocation = Allocation()
+    allocation.add("T2", "DLRM-RMC1", 2)
+    allocation.add("T7", "DLRM-RMC1", 1)
+    allocation.add("T3", "DLRM-RMC2", 2)
+    return allocation
+
+
+def _two_model_source(small_table, workloads, seed, extra=None):
+    """A diurnal RMC1 ramp and a bursty RMC2 stream (plus ``extra``)."""
+    from repro.traces import DiurnalProcess, FleetArrivals, MMPPProcess
+
+    rmc1 = small_table.qps("T2", "DLRM-RMC1")
+    rmc2 = small_table.qps("T3", "DLRM-RMC2")
+    processes = {
+        "DLRM-RMC1": DiurnalProcess(
+            workloads["DLRM-RMC1"], peak_qps=2.2 * rmc1, duration_s=2.0,
+            steps=8, noise=0.1,
+        ),
+        "DLRM-RMC2": MMPPProcess(
+            workloads["DLRM-RMC2"], rates=(0.8 * rmc2, 2.6 * rmc2),
+            dwell_s=(0.5, 0.2), duration_s=2.0,
+        ),
+        **(extra or {}),
+    }
+    return FleetArrivals(processes, seed=seed)
+
+
+class TestColumnarIngest:
+    """``_ingest`` reads a ``stream_batches`` source without building a
+    query object, and must return exactly what the row path returns for
+    the same arrivals materialized into a list."""
+
+    def _sim(self, small_table, inputs):
+        models, workloads = inputs
+        servers = build_fleet(
+            _two_model_allocation(), small_table, models, workloads
+        )
+        return FleetSimulator(
+            servers, policy="rr", sla_ms={m: 20.0 for m in models},
+            core="vector",
+        )
+
+    def _assert_same_ingest(self, sim, source, horizon_s=None):
+        from repro.sim.fast_core import _ingest
+
+        ingested, horizon = _ingest(sim, source, horizon_s)
+        ref, ref_horizon = _ingest(sim, list(source), horizon_s)
+        for col, ref_col in zip(ingested[:4], ref[:4]):
+            assert col.dtype == ref_col.dtype
+            assert np.array_equal(col, ref_col)
+        assert ingested[4] == ref[4]  # model_names
+        assert list(ingested[5].items()) == list(ref[5].items())  # codes
+        assert horizon == ref_horizon
+        return ingested[4], horizon
+
+    def _errors(self, sim, source, horizon_s):
+        from repro.sim.fast_core import _ingest
+
+        messages = []
+        for trace in (source, list(source)):
+            with pytest.raises(ValueError) as exc:
+                _ingest(sim, trace, horizon_s)
+            messages.append(str(exc.value))
+        return messages
+
+    def test_unreplicated_models_coded_in_first_arrival_order(
+        self, small_table, two_model_inputs
+    ):
+        from repro.traces import PiecewisePoissonProcess
+
+        workload = two_model_inputs[1]["DLRM-RMC1"]
+        extra = {  # sorted a before b, but b arrives first
+            "ghost-a": PiecewisePoissonProcess(workload, [(0.0, 0.5), (300.0, 1.0)]),
+            "ghost-b": PiecewisePoissonProcess(workload, [(300.0, 1.5)]),
+        }
+        sim = self._sim(small_table, two_model_inputs)
+        source = _two_model_source(small_table, two_model_inputs[1], 3, extra)
+        names, _ = self._assert_same_ingest(sim, source)
+        assert names == ["DLRM-RMC1", "DLRM-RMC2", "ghost-b", "ghost-a"]
+        self._assert_same_ingest(sim, source, horizon_s=2.5)
+
+    def test_empty_stream_under_a_forced_horizon(
+        self, small_table, two_model_inputs
+    ):
+        from repro.traces import FleetArrivals, PiecewisePoissonProcess
+
+        workload = two_model_inputs[1]["DLRM-RMC1"]
+        source = FleetArrivals(
+            {"DLRM-RMC1": PiecewisePoissonProcess(workload, [(0.0, 1.0)])}
+        )
+        sim = self._sim(small_table, two_model_inputs)
+        names, horizon = self._assert_same_ingest(sim, source, horizon_s=4.0)
+        assert horizon == 4.0 and names == ["DLRM-RMC1", "DLRM-RMC2"]
+        assert self._errors(sim, source, None) == ["empty fleet trace"] * 2
+
+    def test_horizon_preceding_the_last_arrival(
+        self, small_table, two_model_inputs
+    ):
+        sim = self._sim(small_table, two_model_inputs)
+        source = _two_model_source(small_table, two_model_inputs[1], 5)
+        streamed, listed = self._errors(sim, source, 1.0)
+        assert streamed == listed
+        assert streamed.startswith("horizon_s=1.0 precedes the stream's last")
+
+    def test_generic_unsorted_stream_still_raises(
+        self, small_table, two_model_inputs
+    ):
+        from repro.sim.fast_core import _ingest
+
+        sim = self._sim(small_table, two_model_inputs)
+        rows = list(_two_model_source(small_table, two_model_inputs[1], 7))
+        rotated = rows[1:] + rows[:1]
+        with pytest.raises(ValueError, match="not sorted by time"):
+            _ingest(sim, (pair for pair in rotated), None)
+        # A list is re-sorted stably, like the python core does.
+        ingested, _ = _ingest(sim, rotated, None)
+        assert np.array_equal(ingested[0], np.sort([q.arrival_s for _, q in rows]))
+
+
+def _strip(result):
+    """``FleetResult`` with scale events reduced to comparable fields
+    (they embed the run's own ``FleetServer`` objects)."""
+    import dataclasses
+
+    return dataclasses.replace(
+        result,
+        scale_events=tuple(
+            (e.time_s, e.model, e.action, e.server.index, e.reason)
+            for e in result.scale_events
+        ),
+    )
+
+
+@pytest.mark.parametrize("policy", ["rr", "weighted"])
+@pytest.mark.parametrize("scaling", [None, "reactive"])
+@pytest.mark.parametrize("faulted", [False, True])
+def test_columnar_source_equals_list_and_python(
+    small_table, two_model_inputs, policy, scaling, faulted
+):
+    """A FleetArrivals run on the vector core (column batches) equals
+    the same arrivals as a list on the vector core (rows), and both
+    equal the python core: ``==`` on the whole result and on every
+    replica's counters."""
+    from repro.fleet import FaultSchedule, ReactiveAutoscaler
+    from repro.fleet.faults import crash, slowdown
+
+    models, workloads = two_model_inputs
+    source = _two_model_source(small_table, workloads, 29)
+    standby = Allocation()
+    standby.add("T2", "DLRM-RMC1", 1)
+    standby.add("T3", "DLRM-RMC2", 1)
+
+    def run(trace, core):
+        kwargs = {}
+        if scaling:
+            kwargs["autoscaler"] = ReactiveAutoscaler(
+                {m: 20.0 for m in models}, window_s=0.25, cooldown_s=0.5
+            )
+            kwargs["standby"] = standby
+        if faulted:
+            kwargs["faults"] = FaultSchedule(
+                [crash(0.6, 0, recover_after=0.5), slowdown(0.3, 3, 2.0, duration=0.6)]
+            )
+        sim, result = _replay(
+            small_table, two_model_inputs, _two_model_allocation(), trace, core,
+            policy=policy, **kwargs,
+        )
+        counters = [
+            (s.completed, s.items_done, s.completed_in_window, s.outstanding)
+            for s in sim.servers
+        ]
+        return _strip(result), counters
+
+    columnar = run(source, "vector")
+    rows = run(list(source), "vector")
+    python = run(source, "python")
+    assert columnar == rows
+    assert columnar == python
+    if faulted:
+        assert columnar[0].fault_events
+    if scaling:
+        assert columnar[0].scale_events

@@ -11,21 +11,29 @@ Hypothesis pins the invariants every consumer relies on:
   with exact floats.
 
 Unit tests cover the ``--arrivals`` grammar, the recorded-trace
-scanner, and the engine's unsorted-stream guard.
+scanner, and the engine's unsorted-stream guard.  Two more lanes pin
+the columnar path: the batch merge against a copy of the heap merge it
+replaced (ties built on purpose), and a fuzzer over the ``--arrivals``
+grammar's tokens (every spec raises ``ValueError`` or streams rows
+equal to its columns).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import QueryWorkload
 from repro.sim.queries import Query
 from repro.traces import (
+    MODEL_SEED_STRIDE,
+    ArrivalProcess,
     DiurnalProcess,
     FleetArrivals,
     MMPPProcess,
@@ -431,3 +439,253 @@ class TestEngineStreamGuards:
         stream = iter([("DLRM-RMC1", Query(0, 0.1, 10, 1.0))])
         with pytest.raises(ValueError, match="end_s"):
             sim.run(stream)
+
+
+# ----------------------------------------------------------------------
+# Columnar merge == the heap merge it replaced
+# ----------------------------------------------------------------------
+
+
+class _Floored(ArrivalProcess):
+    """Another process's arrivals floored to a time grid, so streams
+    tie on purpose (within a stream, across parts and across models)."""
+
+    def __init__(self, inner: ArrivalProcess, grid: float) -> None:
+        self.inner = inner
+        self.grid = grid
+        self.workload = inner.workload
+
+    @property
+    def end_s(self):
+        return self.inner.end_s
+
+    @property
+    def mean_qps(self):
+        return self.inner.mean_qps
+
+    def stream_batches(self, seed=0):
+        for times, sizes, pooling in self.inner.stream_batches(seed=seed):
+            yield np.floor(times / self.grid) * self.grid, sizes, pooling
+
+
+def _oracle_stream(process, seed):
+    """One process's rows as the heap-merge implementation built them."""
+    if isinstance(process, _Floored):
+        grid = process.grid
+        return [
+            Query._make((q[0], math.floor(q[1] / grid) * grid, q[2], q[3]))
+            for q in _oracle_stream(process.inner, seed)
+        ]
+    if isinstance(process, SuperposedProcess):
+        streams = [
+            _oracle_stream(part, seed + k) for k, part in enumerate(process.parts)
+        ]
+        merged = heapq.merge(*streams, key=lambda q: q[1])
+        return [Query._make((i, q[1], q[2], q[3])) for i, q in enumerate(merged)]
+    return list(process.stream(seed=seed))
+
+
+def _oracle_fleet(source):
+    """``FleetArrivals.__iter__`` as it was: per-model row streams
+    tagged with the model name and merged by ``heapq.merge``."""
+    tagged = []
+    for m_idx, (model, process) in enumerate(source.processes.items()):
+        if source.seeds is not None:
+            lane = source.seeds[model]
+        else:
+            lane = source.seed + MODEL_SEED_STRIDE * m_idx
+        tagged.append([(model, q) for q in _oracle_stream(process, lane)])
+    return list(heapq.merge(*tagged, key=lambda pair: pair[1][1]))
+
+
+def _columns(batches, width):
+    batches = list(batches)
+    if not batches:
+        return [np.empty(0)] * width
+    return [np.concatenate(col) for col in zip(*batches)]
+
+
+def _process(kind, rate, duration):
+    """One of the built-in shapes, at ``rate`` qps for ``duration`` s."""
+    if kind == "piecewise":  # boundaries every 0.5 s in every model
+        steps = max(1, round(duration / 0.5))
+        return PiecewisePoissonProcess(
+            WL, [(rate, 0.5)] * steps + [(0.0, 0.25), (rate, 0.25)]
+        )
+    if kind == "mmpp":
+        return MMPPProcess(WL, [0.2 * rate, 2.0 * rate], [0.3, 0.1], duration)
+    if kind == "diurnal":
+        return DiurnalProcess(WL, rate, duration, steps=4, noise=0.2)
+    return SuperposedProcess(
+        [_process("piecewise", rate, duration), _process("mmpp", rate, duration)]
+    )
+
+
+_KINDS = ("piecewise", "mmpp", "diurnal", "superposed")
+_GRIDS = (None, 1.0, 0.5, 0.125)
+
+model_st = st.tuples(
+    st.sampled_from(_KINDS),
+    st.floats(20.0, 300.0),
+    st.sampled_from(_GRIDS),  # the whole stream floored
+    st.sampled_from(_GRIDS),  # each superposed part floored
+)
+
+
+def _fleet(models, seed, subset):
+    procs = {}
+    for i, (kind, rate, grid, part_grid) in enumerate(models):
+        process = _process(kind, rate, 2.0)
+        if part_grid is not None and isinstance(process, SuperposedProcess):
+            process = SuperposedProcess(
+                [_Floored(part, part_grid) for part in process.parts]
+            )
+        if grid is not None:
+            process = _Floored(process, grid)
+        procs[f"m{i}"] = process
+    if not subset:
+        return FleetArrivals(procs, seed=seed)
+    # A shard's view: a subset of models keeping the full fleet's lanes.
+    lanes = {m: seed + MODEL_SEED_STRIDE * i for i, m in enumerate(sorted(procs))}
+    kept = sorted(procs)[::2]
+    return FleetArrivals(
+        {m: procs[m] for m in kept}, seed=seed, seeds={m: lanes[m] for m in kept}
+    )
+
+
+class TestColumnarMerge:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        models=st.lists(model_st, min_size=1, max_size=4),
+        seed=st.integers(0, 10_000),
+        subset=st.booleans(),
+    )
+    @example(
+        models=[("piecewise", 200.0, 1.0, None)] * 3, seed=0, subset=False
+    )
+    @example(
+        models=[("superposed", 150.0, None, 0.5), ("mmpp", 250.0, 0.5, None)],
+        seed=1,
+        subset=True,
+    )
+    def test_batches_and_rows_equal_the_heap_merge(self, models, seed, subset):
+        source = _fleet(models, seed, subset)
+        oracle = _oracle_fleet(source)
+        assert list(source) == oracle  # ids, floats and model tags
+        assert list(source) == oracle  # re-iterable
+        times, sizes, pooling, codes = _columns(source.stream_batches(), 4)
+        names = list(source.processes)
+        assert times.tolist() == [q.arrival_s for _, q in oracle]
+        assert sizes.tolist() == [q.size for _, q in oracle]
+        assert pooling.tolist() == [q.pooling_scale for _, q in oracle]
+        assert [names[c] for c in codes.tolist()] == [m for m, _ in oracle]
+
+    def test_integer_times_tie_across_models(self):
+        """Many rows share one instant across models and segment
+        boundaries; the tie order is model order, then stream order."""
+        source = _fleet([("piecewise", 200.0, 1.0, None)] * 3, seed=4, subset=False)
+        oracle = _oracle_fleet(source)
+        times = [q.arrival_s for _, q in oracle]
+        assert len(set(times)) < len(times) / 50
+        assert list(source) == oracle
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(_KINDS),
+        part_grid=st.sampled_from(_GRIDS),
+        seed=st.integers(0, 10_000),
+        first_id=st.integers(0, 50),
+    )
+    def test_superposed_rows_equal_the_heap_merge(
+        self, kind, part_grid, seed, first_id
+    ):
+        parts = [_process(kind, 120.0, 2.0), _process("diurnal", 200.0, 2.0)]
+        if part_grid is not None:
+            parts = [_Floored(p, part_grid) for p in parts]
+        process = SuperposedProcess(parts)
+        expected = [
+            q._replace(query_id=q.query_id + first_id)
+            for q in _oracle_stream(process, seed)
+        ]
+        assert list(process.stream(seed=seed, first_id=first_id)) == expected
+
+    def test_unsorted_component_stream_raises(self):
+        class _Backwards(_Floored):  # regresses inside a batch
+            def stream_batches(self, seed=0):
+                for times, sizes, pooling in self.inner.stream_batches(seed):
+                    yield times[::-1], sizes, pooling
+
+        class _Twice(_Floored):  # regresses from one batch to the next
+            def stream_batches(self, seed=0):
+                batches = list(self.inner.stream_batches(seed))
+                yield from batches + batches
+
+        for cls in (_Backwards, _Twice):
+            source = FleetArrivals(
+                {"a": cls(PoissonProcess(WL, 300.0, 1.0), 1.0)}
+            )
+            with pytest.raises(ValueError, match="not sorted by time"):
+                list(source.stream_batches())
+
+
+# ----------------------------------------------------------------------
+# --arrivals fuzzing and the oversized-draw guard
+# ----------------------------------------------------------------------
+
+_FUZZ_KEYS = (
+    "level", "qps", "levels", "dwell", "steps", "trough", "sharpness",
+    "noise", "days", "peak_at", "bogus",
+)
+# Small finite magnitudes keep accepted streams cheap to draw; 1e12
+# reaches the per-segment draw limit from every rate knob.
+_FUZZ_NUMBERS = ("0", "0.5", "1", "2", "-1", "1e12", "nan", "inf", "x", "")
+
+value_st = st.one_of(
+    st.sampled_from(_FUZZ_NUMBERS),
+    st.builds(
+        "/".join,
+        st.lists(st.sampled_from(_FUZZ_NUMBERS), min_size=2, max_size=3),
+    ),
+)
+section_st = st.builds(
+    lambda shape, pairs: shape + ":" + ",".join(f"{k}={v}" for k, v in pairs),
+    st.sampled_from(("poisson", "mmpp", "diurnal", "sawtooth")),
+    st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), value_st), max_size=3),
+)
+
+
+class TestArrivalsFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(sections=st.lists(section_st, min_size=1, max_size=3))
+    @example(sections=["diurnal:noise=1e12"])
+    @example(sections=["diurnal:level=1e12"])
+    @example(sections=["mmpp:levels=0.5/2,dwell=0.5+poisson:level=0.5"])
+    def test_spec_raises_or_rows_equal_columns(self, sections):
+        spec = "+".join(sections)
+        try:
+            process = parse_arrivals(spec).build(WL, 1000.0, 2.0)
+            rows = list(process.stream(seed=3))
+            batches = list(process.stream_batches(seed=3))
+        except ValueError:
+            return
+        times, sizes, pooling = _columns(batches, 3)
+        assert [q.query_id for q in rows] == list(range(len(rows)))
+        assert [q.arrival_s for q in rows] == times.tolist()
+        assert [q.size for q in rows] == sizes.tolist()
+        assert [q.pooling_scale for q in rows] == pooling.tolist()
+
+    @pytest.mark.parametrize(
+        "spec,where",
+        [
+            ("diurnal:noise=1e9", "diurnal step"),
+            ("diurnal:level=1e9", "diurnal peak step"),
+            ("poisson:qps=1e12", "Poisson segment"),
+            ("mmpp:levels=1/1e12,dwell=0.5", "MMPP state-1 dwell"),
+        ],
+    )
+    def test_oversized_segment_is_refused_before_the_draw(self, spec, where):
+        """These used to end in numpy's ``Unable to allocate 223 GiB``."""
+        with pytest.raises(ValueError, match=rf"{where}.* expects .*2\*\*31"):
+            process = parse_arrivals(spec).build(WL, 1000.0, 2.0)
+            for _ in process.stream_batches(seed=0):
+                pass
